@@ -24,6 +24,7 @@ from .core import (
     SubwordToken,
     Utterance,
     default_max_target_words,
+    extend_word_spans,
     load_manifest,
     segment_stream,
     subword_tokens,
@@ -31,6 +32,7 @@ from .core import (
     words_from_subwords,
 )
 from .detection import (
+    AdaptiveDetector,
     CtcPosterior,
     DetectionKind,
     DetectionResult,
@@ -102,6 +104,7 @@ __all__ = [
     "BPE_CONTINUATION",
     "SP_WORD_START",
     "ActionKind",
+    "AdaptiveDetector",
     "AttentionMask",
     "Convention",
     "CorpusResult",
@@ -142,6 +145,7 @@ __all__ = [
     "decide",
     "default_max_target_words",
     "evaluate_corpus",
+    "extend_word_spans",
     "fixed_word_count",
     "generate_word",
     "latency_regime",

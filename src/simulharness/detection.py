@@ -8,14 +8,18 @@ Two strategies decide how many complete source words have been heard so far:
   collapse it into subword tokens, and count the complete words among them.
 
 The adaptive counter is robust to silence -- appended blank frames add no
-tokens -- while the fixed counter keeps ticking.
+tokens -- while the fixed counter keeps ticking.  :class:`AdaptiveDetector`
+runs it on a stream: each update collapses only the posterior rows that are
+new or changed and counts words from the last complete one on.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter, lt
 from typing import Sequence
 
 import numpy as np
@@ -67,17 +71,14 @@ class DetectionResult:
     word_end_frames: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "word_end_frames", tuple(int(f) for f in self.word_end_frames)
-        )
-        if self.word_count != len(self.word_end_frames):
+        # map/min/all keep the checks cheap: a stream rebuilds this per READ
+        ends = tuple(map(int, self.word_end_frames))
+        object.__setattr__(self, "word_end_frames", ends)
+        if self.word_count != len(ends):
             raise ValueError("word_count must match word_end_frames")
-        if any(f < 0 for f in self.word_end_frames):
+        if ends and min(ends) < 0:
             raise ValueError("word_end_frames must be non-negative")
-        if any(
-            b <= a
-            for a, b in zip(self.word_end_frames, self.word_end_frames[1:])
-        ):
+        if not all(map(lt, ends, ends[1:])):
             raise ValueError("word_end_frames must be strictly increasing")
 
 
@@ -152,3 +153,75 @@ def adaptive_word_count(
     spans, _partial = word_spans(tokens, convention) if tokens else ([], False)
     ends = tuple(collapsed[last_index][1] for _, last_index in spans)
     return DetectionResult(len(spans), ends)
+
+
+class AdaptiveDetector:
+    """Adaptive word detection over a posterior that arrives a tail at a time.
+
+    :meth:`update` takes the posterior rows from frame ``first`` on; the rows
+    before ``first`` are final.  It collapses just those rows with
+    :func:`ctc_greedy_collapse`, merges the run that straddles ``first``, and
+    runs :func:`adaptive_word_count` from the first token after the last
+    complete word.  After every update :attr:`collapsed` equals
+    ``ctc_greedy_collapse`` over all rows so far, and the result equals
+    ``adaptive_word_count`` over that.
+    """
+
+    def __init__(self, convention: Convention) -> None:
+        self._convention = convention
+        self._path: list[int] = []  # argmax of every row so far
+        self.collapsed: list[tuple[SubwordToken, int]] = []
+        self._words: list[int] = []  # last token index of each word
+        self._result = EMPTY_DETECTION
+
+    def update(self, posterior: CtcPosterior, first: int) -> DetectionResult:
+        """Take ``posterior`` as the rows from frame ``first`` on; return the
+        words detected over every row so far."""
+        if not 0 <= first <= len(self._path):
+            raise ValueError("a posterior must not skip frames")
+        blank = posterior.blank_id
+        collapsed = self.collapsed
+        changed = bool(collapsed) and collapsed[-1][1] >= first
+        # forget the runs of rows from ``first`` on, cutting the one that
+        # straddles ``first`` back to its part before it
+        del self._path[first:]
+        while collapsed and collapsed[-1][1] >= first:
+            collapsed.pop()
+        last = self._path[-1] if self._path else blank
+        if last != blank and (not collapsed or collapsed[-1][1] < first - 1):
+            token = SubwordToken(posterior.vocab[last], self._convention)
+            collapsed.append((token, first - 1))
+        # a word stays complete while its closing token exists (SentencePiece
+        # words close at the next word's first token)
+        closing = int(self._convention is Convention.SP_PREFIX)
+        while self._words and self._words[-1] + closing >= len(collapsed):
+            self._words.pop()
+
+        if posterior.n_frames:
+            path = np.argmax(posterior.scores, axis=1).tolist()
+            if path[0] == last != blank:
+                # the run goes on: its token now ends inside the new rows
+                collapsed.pop()
+                changed = True
+            collapsed.extend(
+                (token, first + frame)
+                for token, frame in ctc_greedy_collapse(
+                    posterior, self._convention
+                )
+            )
+            self._path.extend(path)
+
+        start = self._words[-1] + 1 if self._words else 0
+        found = adaptive_word_count(collapsed[start:], self._convention)
+        self._words.extend(
+            bisect_left(collapsed, end, lo=start, key=itemgetter(1))
+            for end in found.word_end_frames
+        )
+        if changed:
+            ends = tuple(collapsed[i][1] for i in self._words)
+        elif found.word_count:
+            ends = self._result.word_end_frames + found.word_end_frames
+        else:
+            return self._result
+        self._result = DetectionResult(len(self._words), ends)
+        return self._result

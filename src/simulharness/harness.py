@@ -59,7 +59,9 @@ def _evaluate_one(
     try:
         hypothesis, events = run_simultaneous(model, utterance, config)
     except SimulRunError as exc:
-        logger.error("utterance %s failed: %s", utterance.id, exc)
+        logger.error(
+            "utterance %s failed: %s", utterance.id, exc, exc_info=True
+        )
         return UtteranceResult(
             utterance.id, None, tuple(exc.events), None, error=str(exc)
         )

@@ -1,9 +1,14 @@
 """Incremental encoder-decoder interface, a deterministic mock, and masks.
 
-The engine only ever talks to a model through two calls: ``encode_prefix``
-over the frames received so far (returning opaque encoder states plus a CTC
-posterior over the source vocabulary) and ``decoder_step`` scoring the next
-target token given those states and the committed target prefix.
+The engine talks to a model through two calls.  ``encode_more`` brings the
+encoding up to date with a source prefix that has grown by one chunk: it gets
+the encoder states of the shorter prefix and returns new states plus a CTC
+posterior over the source vocabulary for the *tail* of the prefix.  Rows
+before that tail are final, so detection never looks at them again.
+``decoder_step`` scores the next target token given those states and the
+committed target prefix.  A model that cannot encode incrementally implements
+only ``encode_prefix``; the default ``encode_more`` re-encodes the whole
+prefix, and its posterior then covers every frame.
 
 :class:`LexiconMockModel` implements the contract with a word-for-word
 dictionary so every behavior downstream -- detection, scheduling, latency,
@@ -11,7 +16,8 @@ wire transport -- has a closed-form expectation.  Synthetic utterances encode
 each source word as a run of one-hot frames whose final frame is marked by a
 doubled amplitude; that marker is what lets a lookahead-free encoder emit the
 word id exactly at the word's last frame (and blank everywhere else) without
-peeking at future frames.
+peeking at future frames.  Each frame is encoded on its own, so the mock
+encodes only the frames a chunk adds.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from .core import (
     SubwordToken,
     Utterance,
     default_max_target_words,
+    extend_word_spans,
     subword_tokens,
     word_spans,
 )
@@ -53,15 +60,14 @@ MAX_TOKENS_PER_WORD = 256
 class ModelInterface(ABC):
     """Contract for incremental translation models.
 
-    Implementations must be deterministic given identical inputs and
-    prefix-consistent: ``encode_prefix`` on a longer prefix must agree with
-    its output on any shorter prefix, except possibly for the trailing
-    ``lookahead_frames`` frames.  One evaluation thread calls a model at a
-    time.
+    Implementations must be deterministic given identical inputs.  A
+    posterior covers the last ``posterior.n_frames`` frames of the prefix it
+    was computed for.  Rows before those are final: the engine never looks
+    at them again, so a model that revises rows as more audio arrives
+    (lookahead) must return them again.  One evaluation thread calls a model
+    at a time; one model may serve many utterances, so per-utterance state
+    belongs in the encoder states, not on the model.
     """
-
-    #: frames at the end of a prefix whose encoding may still change
-    lookahead_frames: int = 0
 
     @property
     @abstractmethod
@@ -88,6 +94,17 @@ class ModelInterface(ABC):
             prefix (one score row per frame).
         """
 
+    def encode_more(
+        self, states: object, frames: Sequence[Frame], start: int
+    ) -> tuple[object, CtcPosterior]:
+        """Encode a prefix that grew from ``frames[:start]`` to ``frames``.
+
+        ``states`` are the ones returned for ``frames[:start]`` (``None`` when
+        ``start`` is 0).  The posterior may cover just the frames whose rows
+        are new or changed; this default re-encodes the whole prefix.
+        """
+        return self.encode_prefix(frames)
+
     @abstractmethod
     def decoder_step(
         self, states: object, target_prefix_ids: Sequence[int]
@@ -99,6 +116,8 @@ class ModelInterface(ABC):
 class _MockStates:
     n_frames: int
     visible_words: tuple[str, ...]
+    #: target token ids translating ``visible_words``, in order
+    target_ids: tuple[int, ...]
 
 
 class LexiconMockModel(ModelInterface):
@@ -139,7 +158,6 @@ class LexiconMockModel(ModelInterface):
                 raise ValueError(f"lexicon entry {source!r} maps to no words")
             self._lexicon[source] = targets
         self._target_convention = target_convention
-        self._piece_len = target_piece_len
         self._eos_early = bool(eos_early)
         self._compute_delay_ms = float(compute_delay_ms)
 
@@ -155,7 +173,17 @@ class LexiconMockModel(ModelInterface):
             }
         )
         self._target_vocab = (EOS_SURFACE,) + tuple(pieces)
-        self._target_index = {s: i for i, s in enumerate(self._target_vocab)}
+        target_index = {s: i for i, s in enumerate(self._target_vocab)}
+        #: source word -> target token ids of its translation
+        self._target_ids = {
+            source: tuple(
+                target_index[token.surface]
+                for token in subword_tokens(
+                    targets, target_convention, target_piece_len
+                )
+            )
+            for source, targets in self._lexicon.items()
+        }
 
     # -- vocabulary ------------------------------------------------------
 
@@ -205,41 +233,50 @@ class LexiconMockModel(ModelInterface):
     ) -> tuple[_MockStates, CtcPosterior]:
         self._sleep()
         vocab_size = len(self._source_vocab)
-        rows = np.zeros((len(frames), vocab_size))
-        visible: list[str] = []
-        for t, frame in enumerate(frames):
+        for frame in frames:
             if len(frame.features) != vocab_size:
                 raise ValueError(
                     f"feature dim {len(frame.features)} does not match the "
                     f"source vocabulary size {vocab_size}"
                 )
-            features = np.asarray(frame.features)
-            if features.size and float(features.max()) >= _BOUNDARY_THRESHOLD:
-                index = int(features.argmax())
-                if index == 0:
-                    raise ValueError("blank channel cannot carry a word")
-                rows[t, index] = 1.0
-                visible.append(self._source_vocab[index])
-            else:
-                rows[t, 0] = 1.0
+        features = np.array(
+            [frame.features for frame in frames], dtype=float
+        ).reshape(len(frames), vocab_size)
+        marked = features.max(axis=1) >= _BOUNDARY_THRESHOLD
+        ids = np.where(marked, features.argmax(axis=1), 0)
+        if np.any(marked & (ids == 0)):
+            raise ValueError("blank channel cannot carry a word")
+        rows = np.zeros((len(frames), vocab_size))
+        rows[np.arange(len(frames)), ids] = 1.0
+        visible = tuple(self._source_vocab[i] for i in ids[marked].tolist())
+        target_ids = tuple(
+            i for word in visible for i in self._target_ids[word]
+        )
         posterior = CtcPosterior(rows, self._source_vocab, blank_id=0)
-        return _MockStates(len(frames), tuple(visible)), posterior
+        return _MockStates(len(frames), visible, target_ids), posterior
 
-    def _expected_ids(self, visible_words: Sequence[str]) -> list[int]:
-        ids: list[int] = []
-        for word in visible_words:
-            for target in self._lexicon[word]:
-                for token in subword_tokens(
-                    [target], self._target_convention, self._piece_len
-                ):
-                    ids.append(self._target_index[token.surface])
-        return ids
+    def encode_more(
+        self, states: _MockStates | None, frames: Sequence[Frame], start: int
+    ) -> tuple[_MockStates, CtcPosterior]:
+        """Encode only ``frames[start:]``: each row depends on its frame
+        alone, so the rows of earlier frames never change."""
+        tail, posterior = self.encode_prefix(frames[start:])
+        if states is None:
+            return tail, posterior
+        return (
+            _MockStates(
+                states.n_frames + tail.n_frames,
+                states.visible_words + tail.visible_words,
+                states.target_ids + tail.target_ids,
+            ),
+            posterior,
+        )
 
     def decoder_step(
         self, states: _MockStates, target_prefix_ids: Sequence[int]
     ) -> np.ndarray:
         self._sleep()
-        expected = self._expected_ids(states.visible_words)
+        expected = states.target_ids
         scores = np.zeros(len(self._target_vocab))
         position = len(target_prefix_ids)
         if position >= len(expected):
@@ -497,6 +534,7 @@ def offline_greedy_translate(
 
     ids: list[int] = []
     tokens: list[SubwordToken] = []
+    spans: list[tuple[str, int]] = []
     truncated = False
     while True:
         scores = model.decoder_step(states, ids)
@@ -505,7 +543,7 @@ def offline_greedy_translate(
             break
         ids.append(next_id)
         tokens.append(SubwordToken(model.target_vocab[next_id], convention))
-        spans, _ = word_spans(tokens, convention)
+        extend_word_spans(spans, tokens, convention)
         if len(spans) >= cap or len(ids) >= cap * 4 + MAX_TOKENS_PER_WORD:
             truncated = True
             # cut back to the last complete word so words == detok(tokens)

@@ -1,13 +1,16 @@
 """Wait-k READ/WRITE decision engine over incremental models.
 
 The engine alternates two actions.  READ consumes the next fixed-duration
-chunk of source frames, re-encodes the received prefix, and re-runs word
-detection over it (stateless: detection always looks at the whole prefix).
-WRITE asks the decoder for tokens until exactly one more complete target word
+chunk of source frames and has the model encode what the chunk added
+(``encode_more``); adaptive detection then collapses only the posterior rows
+the model returned and counts words from the last complete one on.  WRITE
+asks the decoder for tokens until exactly one more complete target word
 exists, emits it, and records when it happened -- both in source time (how
 much audio had been read) and on a wall clock that adds the model compute
 time accumulated so far, so computation-aware delays dominate ideal ones by
-construction.
+construction.  Target words are tracked the same way, from the first token
+after the last complete word, so a READ or WRITE costs what it adds rather
+than what came before.
 
 The decision rule: WRITE once the source is finished, or once the number of
 detected source words reaches ``k`` plus the number of words already emitted
@@ -40,15 +43,15 @@ from .core import (
     SubwordToken,
     Utterance,
     default_max_target_words,
+    extend_word_spans,
     segment_stream,
     word_spans,
 )
 from .detection import (
+    AdaptiveDetector,
     DetectionKind,
     DetectionResult,
     EMPTY_DETECTION,
-    adaptive_word_count,
-    ctc_greedy_collapse,
     fixed_word_count,
 )
 from .model import MAX_TOKENS_PER_WORD, ModelInterface
@@ -137,7 +140,8 @@ class SimulState:
     emitted_words: int = 0
     target_tokens: list[SubwordToken] = field(default_factory=list)
     target_token_ids: list[int] = field(default_factory=list)
-    eos_emitted: bool = False
+    #: complete words among ``target_tokens``: (word, last token index)
+    target_words: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -220,10 +224,11 @@ def generate_word(
     convention = model.target_convention
     appended = 0
     while True:
-        spans, _ = word_spans(state.target_tokens, convention) \
-            if state.target_tokens else ([], False)
-        if len(spans) > state.emitted_words:
-            return WordOutcome(spans[state.emitted_words][0], eos=False)
+        words = extend_word_spans(
+            state.target_words, state.target_tokens, convention
+        )
+        if len(words) > state.emitted_words:
+            return WordOutcome(words[state.emitted_words][0], eos=False)
         if appended >= MAX_TOKENS_PER_WORD:
             logger.warning("word generation hit the per-write token cap")
             return WordOutcome(
@@ -249,11 +254,14 @@ def generate_word(
 
 def _flush_partial(state: SimulState, convention: Convention) -> str | None:
     """The word a trailing partial resolves to once the sequence ends."""
-    if not state.target_tokens:
-        return None
-    spans, _ = word_spans(state.target_tokens, convention, eos=True)
-    if len(spans) > state.emitted_words:
-        return spans[state.emitted_words][0]
+    complete = extend_word_spans(
+        state.target_words, state.target_tokens, convention
+    )
+    start = complete[-1][1] + 1 if complete else 0
+    flushed, _ = word_spans(state.target_tokens[start:], convention, eos=True)
+    words = complete + flushed
+    if len(words) > state.emitted_words:
+        return words[state.emitted_words][0]
     return None
 
 
@@ -299,6 +307,11 @@ class SimulEngine:
         self._frames: list[Frame] = []
         self._state = SimulState()
         self._encoder_states: object | None = None
+        self._detector = (
+            AdaptiveDetector(config.source_convention)
+            if config.detection is DetectionKind.ADAPTIVE
+            else None
+        )
         self._events: list[Event] = []
         self._emissions: list[Emission] = []
         self._compute_ms = 0.0
@@ -350,9 +363,10 @@ class SimulEngine:
                 f"all frames must last {self._frame_ms} ms"
             )
         start_ms = self._state.received_ms
+        start = len(self._frames)
         self._frames.extend(frames)
         self._state.received_ms += len(frames) * self._frame_ms
-        self._refresh_detection()
+        self._refresh_detection(start)
         self._events.append(
             Event(
                 ActionKind.READ,
@@ -372,26 +386,24 @@ class SimulEngine:
         self._state.source_finished = True
         if self._encoder_states is None:
             # nothing was ever read (empty source): encode the empty prefix
-            self._refresh_detection()
+            self._refresh_detection(0)
         return self._drain_writes()
 
-    def _refresh_detection(self) -> None:
+    def _refresh_detection(self, start: int) -> None:
+        """Encode the frames from ``start`` on and update detection."""
         states, posterior = self._timed(
-            self._model.encode_prefix, self._frames
+            self._model.encode_more, self._encoder_states, self._frames, start
         )
         self._encoder_states = states
-        if self._config.detection is DetectionKind.FIXED:
+        if self._detector is None:
             self._state.detected = fixed_word_count(
                 self._state.received_ms,
                 self._config.avg_word_ms,
                 frame_ms=self._frame_ms,
             )
         else:
-            collapsed = ctc_greedy_collapse(
-                posterior, self._config.source_convention
-            )
-            self._state.detected = adaptive_word_count(
-                collapsed, self._config.source_convention
+            self._state.detected = self._detector.update(
+                posterior, len(self._frames) - posterior.n_frames
             )
 
     def _drain_writes(self) -> list[Emission]:
@@ -422,7 +434,6 @@ class SimulEngine:
             if outcome.truncated:
                 self._truncated = True
             if outcome.eos:
-                self._state.eos_emitted = True
                 self._done = True
             elif outcome.read_forced:
                 break
@@ -437,10 +448,12 @@ class SimulEngine:
 
     def _trim_to_last_complete_word(self) -> None:
         """Drop a trailing partial word so tokens detokenize to the words."""
-        spans, _ = word_spans(
-            self._state.target_tokens, self._model.target_convention
-        ) if self._state.target_tokens else ([], False)
-        keep = spans[-1][1] + 1 if spans else 0
+        words = extend_word_spans(
+            self._state.target_words,
+            self._state.target_tokens,
+            self._model.target_convention,
+        )
+        keep = words[-1][1] + 1 if words else 0
         del self._state.target_tokens[keep:]
         del self._state.target_token_ids[keep:]
 
@@ -465,7 +478,8 @@ def run_simultaneous(
     """Run the wait-k loop over one utterance.
 
     Deterministic for deterministic models.  Raises :class:`SimulRunError`
-    carrying the partial action log if the model fails mid-run.
+    carrying the partial action log if anything fails mid-run, whatever
+    exception the model raised.
     """
     chunks = segment_stream(utterance, config.step_ms)
     engine = SimulEngine(
@@ -483,7 +497,7 @@ def run_simultaneous(
             engine.push_chunk(chunk)
         if not engine.done:
             engine.finish_source()
-    except (ValueError, RuntimeError, KeyError) as exc:
+    except Exception as exc:
         raise SimulRunError(str(exc), events=engine.events) from exc
     return engine.result()
 

@@ -125,8 +125,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             self.wfile.write(message.to_line())
             self.wfile.flush()
 
-        def fail(text: str) -> None:
-            logger.warning("session %s: %s", session_id, text)
+        def fail(text: str, exc_info: bool = False) -> None:
+            logger.warning(
+                "session %s: %s", session_id, text, exc_info=exc_info
+            )
             send(KIND_ERROR, {"message": text})
 
         def send_emissions(emissions) -> None:
@@ -189,7 +191,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                             frame_ms=frame_ms,
                             max_target_words=payload.get("max_target_words"),
                         )
-                    except (ValueError, KeyError, TypeError) as exc:
+                    except Exception as exc:
                         fail(f"config: {exc}")
                         return
                     continue
@@ -221,8 +223,9 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         send_emissions(engine.finish_source())
                         send_eos_tgt()
                         return
-                except (ValueError, RuntimeError, KeyError) as exc:
-                    fail(f"model: {exc}")
+                except Exception as exc:
+                    # any failure ends the session with an ERROR reply
+                    fail(f"model: {exc}", exc_info=True)
                     return
         except (ConnectionError, BrokenPipeError, OSError):
             logger.info("session %s: connection dropped", session_id)

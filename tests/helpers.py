@@ -42,6 +42,19 @@ def make_model(lexicon=None, **kwargs) -> LexiconMockModel:
     return LexiconMockModel(lexicon or TINY_LEXICON, **kwargs)
 
 
+class DecoderFailsOnHaus(LexiconMockModel):
+    """The tiny mock, except that its decoder raises ``IndexError`` -- an
+    exception no model contract names -- once it has heard "haus"."""
+
+    def __init__(self) -> None:
+        super().__init__(TINY_LEXICON)
+
+    def decoder_step(self, states, target_prefix_ids):
+        if "haus" in states.visible_words:
+            raise IndexError("decoder table out of range")
+        return super().decoder_step(states, target_prefix_ids)
+
+
 def aligned_utterance(
     model: LexiconMockModel,
     words: Sequence[str],

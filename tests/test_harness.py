@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     EXPANDING_LEXICON,
     TINY_LEXICON,
+    DecoderFailsOnHaus,
     aligned_utterance,
     make_model,
 )
@@ -92,6 +93,22 @@ def test_evaluate_corpus_isolates_failures():
     assert "feature" in failed.error
     # the healthy utterances still score
     assert corpus.report.n_utts == 2
+    assert corpus.report.bleu == pytest.approx(100.0, abs=1e-9)
+
+
+def test_evaluate_corpus_isolates_any_model_exception():
+    model = DecoderFailsOnHaus()
+    good = aligned_utterance(
+        model, ["da", "esel", "geht", "hin", "ja"], utt_id="good"
+    )
+    bad = aligned_utterance(model, ["da", "haus", "geht"], utt_id="bad")
+    corpus = evaluate_corpus([bad, good], model, PolicyConfig(k=1))
+    assert corpus.failures == ("bad",)
+    failed = corpus.results[0]
+    assert "decoder table out of range" in failed.error
+    # the partial log: "da" was read and written before "haus" arrived
+    assert [e.kind.value for e in failed.events] == ["READ", "WRITE", "READ"]
+    assert corpus.report.n_utts == 1
     assert corpus.report.bleu == pytest.approx(100.0, abs=1e-9)
 
 

@@ -6,7 +6,12 @@ import threading
 
 import pytest
 
-from helpers import EXPANDING_LEXICON, aligned_utterance, make_model
+from helpers import (
+    EXPANDING_LEXICON,
+    DecoderFailsOnHaus,
+    aligned_utterance,
+    make_model,
+)
 from simulharness import (
     PolicyConfig,
     ServiceError,
@@ -205,6 +210,30 @@ def test_model_failure_is_reported_on_the_wire(server):
     replies = _exchange(server.address, lines)
     assert replies[-1].kind == "ERROR"
     assert replies[-1].payload["message"].startswith("model: ")
+
+
+def test_any_model_exception_ends_the_session_with_an_error():
+    model = DecoderFailsOnHaus()
+    with StreamTranslationServer(model) as handle:
+        lines = [
+            _hello(k=1),
+            _msg("CHUNK", payload={"frames": _chunk_rows(model, ["haus"])}),
+        ]
+        replies = _exchange(handle.address, lines)
+        assert replies[-1].kind == "ERROR"
+        assert replies[-1].payload["message"] == (
+            "model: decoder table out of range"
+        )
+        # the server lives on: the next corpus fails only where it must
+        utts = [
+            aligned_utterance(model, ["haus"], utt_id="bad"),
+            aligned_utterance(model, ["da", "esel"], utt_id="good"),
+        ]
+        corpus = client_evaluate(
+            handle.address, utts, PolicyConfig(k=1), timeout_s=10
+        )
+    assert corpus.failures == ("bad",)
+    assert corpus.report.n_utts == 1
 
 
 def test_hello_can_override_the_session_model(server):

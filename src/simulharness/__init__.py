@@ -19,7 +19,6 @@ from .core import (
     Convention,
     Frame,
     Hypothesis,
-    Manifest,
     ManifestError,
     SubwordToken,
     Utterance,
@@ -58,7 +57,6 @@ from .metrics import (
     Regime,
     aggregate_metrics,
     average_lagging,
-    bleu,
     latency_regime,
     length_adaptive_average_lagging,
     length_difference,
@@ -76,14 +74,12 @@ from .model import (
 )
 from .policy import (
     ActionKind,
-    Emission,
     Event,
     PolicyConfig,
     SimulEngine,
     SimulRunError,
     SimulState,
     decide,
-    generate_word,
     read_event_log,
     run_simultaneous,
     write_event_log,
@@ -113,12 +109,10 @@ __all__ = [
     "DelaySequence",
     "DetectionKind",
     "DetectionResult",
-    "Emission",
     "Event",
     "Frame",
     "Hypothesis",
     "LexiconMockModel",
-    "Manifest",
     "ManifestError",
     "MetricsReport",
     "ModelInterface",
@@ -137,7 +131,6 @@ __all__ = [
     "adaptive_word_count",
     "aggregate_metrics",
     "average_lagging",
-    "bleu",
     "build_synthetic_utterance",
     "client_evaluate",
     "corpus_bleu",
@@ -147,7 +140,6 @@ __all__ = [
     "evaluate_corpus",
     "extend_word_spans",
     "fixed_word_count",
-    "generate_word",
     "latency_regime",
     "length_adaptive_average_lagging",
     "length_difference",

@@ -24,13 +24,14 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .bleu import corpus_bleu
 from .core import ManifestError, Utterance, load_manifest
 from .detection import DetectionKind
 from .harness import (
     CorpusResult,
     SweepSpec,
     evaluate_corpus,
+    evaluate_utterance,
+    score_results,
     sweep as sweep_grid,
     write_eval_outputs,
 )
@@ -308,51 +309,38 @@ def offline_command(
     """Translate with the whole source visible -- the quality ceiling."""
     utterances = _load_utterances(manifest_path)
     model = _load_model(model_path)
-    hypotheses: list[list[str]] = []
-    references: list[list[str]] = []
-    records: list[dict] = []
-    failures: list[str] = []
-    for utterance in utterances:
-        if not utterance.reference:
-            failures.append(
-                f"{utterance.id}: utterance has an empty reference"
-            )
-            continue
-        try:
-            hypothesis = offline_greedy_translate(
-                model, utterance, max_target_words=max_target_words
-            )
-        except (ValueError, RuntimeError, KeyError) as exc:
-            failures.append(f"{utterance.id}: {exc}")
-            continue
-        hypotheses.append(list(hypothesis.words))
-        references.append(list(utterance.reference))
-        records.append(
-            {
-                "id": utterance.id,
-                "words": list(hypothesis.words),
-                "tokens": [t.surface for t in hypothesis.tokens],
-            }
+
+    def translate(utterance: Utterance):
+        hypothesis = offline_greedy_translate(
+            model, utterance, max_target_words=max_target_words
         )
+        return hypothesis, ()
+
+    result = score_results(
+        utterances, [evaluate_utterance(u, translate) for u in utterances]
+    )
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with out_path.open("w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-    if hypotheses:
-        score = corpus_bleu(hypotheses, references)
-        click.echo(f"offline BLEU {score:.2f} | n={len(hypotheses)}")
+            for r in result.results:
+                if r.error is None:
+                    record = {
+                        "id": r.utt_id,
+                        "words": list(r.hypothesis.words),
+                        "tokens": [t.surface for t in r.hypothesis.tokens],
+                    }
+                    handle.write(json.dumps(record) + "\n")
+    report = result.report
+    if report.n_utts:
+        click.echo(f"offline BLEU {report.bleu:.2f} | n={report.n_utts}")
     else:
         click.echo("no utterances scored")
-    for failure in failures:
-        click.echo(f"failed: {failure}", err=True)
-    if failures:
-        sys.exit(1)
+    _exit_on_failures(result)
 
 
 @main.command("serve")
 @click.option("--model-config", "model_path", required=True, type=_PATH_IN,
-              help="JSON model configuration (sessions may override it).")
+              help="JSON model configuration, served to every session.")
 @click.option("--host", default="127.0.0.1", show_default=True)
 @click.option("--port", type=int, default=7070, show_default=True,
               help="TCP port (0 picks a free one).")

@@ -334,31 +334,6 @@ class ManifestError(ValueError):
 _REQUIRED_FIELDS = ("id", "frames", "frame_ms", "reference")
 
 
-@dataclass(frozen=True)
-class Manifest:
-    """An ordered corpus of utterances with unique ids."""
-
-    utterances: tuple[Utterance, ...]
-    path: Path | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "utterances", tuple(self.utterances))
-        seen: set[str] = set()
-        for utt in self.utterances:
-            if utt.id in seen:
-                raise ManifestError(f"duplicate id {utt.id!r}")
-            seen.add(utt.id)
-
-    def __iter__(self):
-        return iter(self.utterances)
-
-    def __len__(self) -> int:
-        return len(self.utterances)
-
-    def __getitem__(self, index):
-        return self.utterances[index]
-
-
 def _word_list(value: object, field: str, lineno: int) -> tuple[str, ...]:
     if not isinstance(value, list) or not all(
         isinstance(w, str) for w in value
@@ -369,7 +344,7 @@ def _word_list(value: object, field: str, lineno: int) -> tuple[str, ...]:
     return tuple(value)
 
 
-def load_manifest(path: str | Path) -> Manifest:
+def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
     """Load a line-delimited JSON manifest.
 
     Each line is an object with fields ``id``, ``frames`` (an inline array of
@@ -460,4 +435,4 @@ def load_manifest(path: str | Path) -> Manifest:
                 )
             except ValueError as exc:
                 raise ManifestError(f"{exc} at line {lineno}") from exc
-    return Manifest(tuple(utterances), path=path)
+    return tuple(utterances)

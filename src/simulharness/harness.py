@@ -1,4 +1,9 @@
-"""Corpus evaluation, wait-k sweeps, and quality/latency curve reporting."""
+"""Scoring, corpus evaluation, wait-k sweeps and quality/latency curves.
+
+Local, remote and offline runs are all scored by the same two functions:
+:func:`evaluate_utterance` at the utterance boundary and
+:func:`score_results` over the corpus.
+"""
 
 from __future__ import annotations
 
@@ -48,33 +53,60 @@ class CorpusResult:
         return tuple(r.utt_id for r in self.results if r.error is not None)
 
 
-def _evaluate_one(
-    model: ModelInterface, utterance: Utterance, config: PolicyConfig
+def evaluate_utterance(
+    utterance: Utterance,
+    translate: Callable[[Utterance], tuple[Hypothesis, Sequence[Event]]],
 ) -> UtteranceResult:
+    """Translate one utterance and record its outcome for scoring.
+
+    This is the utterance boundary of every run -- local, remote or offline:
+    whatever exception ``translate`` raises is recorded as this utterance's
+    error (with a :class:`SimulRunError`'s partial log), and the rest of the
+    corpus still runs.
+    """
     if not utterance.reference:
         return UtteranceResult(
             utterance.id, None, (), None,
             error="utterance has an empty reference",
         )
     try:
-        hypothesis, events = run_simultaneous(model, utterance, config)
-    except SimulRunError as exc:
+        hypothesis, events = translate(utterance)
+        delays = DelaySequence(
+            ideal_ms=hypothesis.ideal_delays_ms,
+            wall_ms=hypothesis.wall_delays_ms,
+            source_ms=float(utterance.duration_ms),
+            hyp_len=len(hypothesis.words),
+            ref_len=len(utterance.reference),
+        )
+    except Exception as exc:
         logger.error(
             "utterance %s failed: %s", utterance.id, exc, exc_info=True
         )
+        partial = exc.events if isinstance(exc, SimulRunError) else ()
         return UtteranceResult(
-            utterance.id, None, tuple(exc.events), None, error=str(exc)
+            utterance.id, None, partial, None, error=str(exc)
         )
-    delays = DelaySequence(
-        ideal_ms=hypothesis.ideal_delays_ms,
-        wall_ms=hypothesis.wall_delays_ms,
-        source_ms=float(utterance.duration_ms),
-        hyp_len=len(hypothesis.words),
-        ref_len=len(utterance.reference),
+    return UtteranceResult(utterance.id, hypothesis, tuple(events), delays)
+
+
+def score_results(
+    utterances: Sequence[Utterance], results: Sequence[UtteranceResult]
+) -> CorpusResult:
+    """Aggregate corpus metrics over the results that carry no error.
+
+    ``results[i]`` is the outcome of ``utterances[i]``; failed utterances
+    stay in the returned results but count in no metric.
+    """
+    scored = [
+        (r, u) for r, u in zip(results, utterances, strict=True)
+        if r.error is None
+    ]
+    report = aggregate_metrics(
+        [list(r.hypothesis.words) for r, _ in scored],
+        [list(u.reference) for _, u in scored],
+        [r.delays for r, _ in scored],
     )
-    return UtteranceResult(
-        utterance.id, hypothesis, tuple(events), delays
-    )
+    return CorpusResult(report, tuple(results))
 
 
 def evaluate_corpus(
@@ -94,31 +126,23 @@ def evaluate_corpus(
     are only meaningful from serial runs.
     """
     utterances = list(utterances)
+    factory = (workers > 1 and model_factory) or (lambda: model)
+    thread_local = threading.local()
+
+    def run(utterance: Utterance) -> UtteranceResult:
+        if not hasattr(thread_local, "model"):
+            thread_local.model = factory()
+        worker_model = thread_local.model
+        return evaluate_utterance(
+            utterance, lambda u: run_simultaneous(worker_model, u, config)
+        )
+
     if workers <= 1:
-        results = [_evaluate_one(model, u, config) for u in utterances]
+        results = [run(u) for u in utterances]
     else:
-        factory = model_factory or (lambda: model)
-        thread_local = threading.local()
-
-        def run(utterance: Utterance) -> UtteranceResult:
-            worker_model = getattr(thread_local, "model", None)
-            if worker_model is None:
-                worker_model = factory()
-                thread_local.model = worker_model
-            return _evaluate_one(worker_model, utterance, config)
-
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, utterances))
-
-    scored = [
-        (r, u) for r, u in zip(results, utterances) if r.error is None
-    ]
-    report = aggregate_metrics(
-        [list(r.hypothesis.words) for r, _ in scored],
-        [list(u.reference) for _, u in scored],
-        [r.delays for r, _ in scored],
-    )
-    return CorpusResult(report, tuple(results))
+    return score_results(utterances, results)
 
 
 # ---------------------------------------------------------------------------

@@ -22,8 +22,6 @@ from .bleu import corpus_bleu
 
 logger = logging.getLogger(__name__)
 
-bleu = corpus_bleu
-
 
 @dataclass(frozen=True)
 class DelaySequence:

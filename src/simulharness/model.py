@@ -519,15 +519,12 @@ def offline_greedy_translate(
     utterance: Utterance,
     *,
     max_target_words: int | None = None,
-    beam: int = 1,
 ) -> Hypothesis:
     """Translate with the whole source visible (greedy argmax to EOS).
 
-    Only ``beam=1`` is supported.  Every word's delay is the full source
-    duration -- the offline system waits for everything before speaking.
+    Every word's delay is the full source duration -- the offline system
+    waits for everything before speaking.
     """
-    if beam != 1:
-        raise ValueError("only greedy decoding (beam=1) is supported")
     cap = max_target_words or default_max_target_words(utterance)
     states, _posterior = model.encode_prefix(utterance.frames)
     convention = model.target_convention

@@ -32,7 +32,7 @@ import logging
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -179,15 +179,6 @@ class Event:
 
 
 @dataclass(frozen=True)
-class Emission:
-    """A word the engine just committed, with its delay bookkeeping."""
-
-    word: str
-    ideal_ms: int
-    wall_ms: float
-
-
-@dataclass(frozen=True)
 class WordOutcome:
     """Result of one WRITE attempt."""
 
@@ -204,52 +195,6 @@ def decide(state: SimulState, config: PolicyConfig) -> ActionKind:
     if state.detected.word_count >= config.k + state.emitted_words:
         return ActionKind.WRITE
     return ActionKind.READ
-
-
-def generate_word(
-    model: ModelInterface,
-    encoder_states: object,
-    state: SimulState,
-    config: PolicyConfig,
-    *,
-    call: Callable | None = None,
-) -> WordOutcome:
-    """Run decoder steps until one more complete target word exists.
-
-    Appends committed tokens to ``state``; the engine decides what to do with
-    the outcome.  ``call`` optionally wraps each model invocation (the engine
-    uses it to meter compute time).
-    """
-    invoke = call or (lambda fn, *args: fn(*args))
-    convention = model.target_convention
-    appended = 0
-    while True:
-        words = extend_word_spans(
-            state.target_words, state.target_tokens, convention
-        )
-        if len(words) > state.emitted_words:
-            return WordOutcome(words[state.emitted_words][0], eos=False)
-        if appended >= MAX_TOKENS_PER_WORD:
-            logger.warning("word generation hit the per-write token cap")
-            return WordOutcome(
-                _flush_partial(state, convention), eos=True, truncated=True
-            )
-        scores = invoke(model.decoder_step, encoder_states, state.target_token_ids)
-        next_id = int(np.argmax(scores))
-        if next_id == model.eos_id:
-            if state.source_finished or not config.force_finish:
-                return WordOutcome(_flush_partial(state, convention), eos=True)
-            if not config.effective_avoid_eos:
-                return WordOutcome(None, eos=False, read_forced=True)
-            masked = np.asarray(scores, dtype=float).copy()
-            masked[model.eos_id] = -np.inf
-            if masked.size < 2 or not np.isfinite(masked).any():
-                return WordOutcome(None, eos=False, read_forced=True)
-            next_id = int(np.argmax(masked))
-        token = SubwordToken(model.target_vocab[next_id], convention)
-        state.target_tokens.append(token)
-        state.target_token_ids.append(next_id)
-        appended += 1
 
 
 def _flush_partial(state: SimulState, convention: Convention) -> str | None:
@@ -274,7 +219,7 @@ class SimulRunError(RuntimeError):
 
 
 class SimulEngine:
-    """Incremental wait-k engine: push source chunks, collect emissions.
+    """Incremental wait-k engine: push source chunks, collect WRITE events.
 
     The in-process runner and the TCP service both drive utterances through
     this class, which is what makes their outputs identical given identical
@@ -313,7 +258,6 @@ class SimulEngine:
             else None
         )
         self._events: list[Event] = []
-        self._emissions: list[Emission] = []
         self._compute_ms = 0.0
         self._truncated = False
         self._done = False
@@ -349,8 +293,11 @@ class SimulEngine:
 
     # -- driving -----------------------------------------------------------
 
-    def push_chunk(self, frames: Sequence[Frame]) -> list[Emission]:
-        """READ one chunk of frames, then WRITE whatever became due."""
+    def push_chunk(self, frames: Sequence[Frame]) -> list[Event]:
+        """READ one chunk of frames, then WRITE whatever became due.
+
+        Returns the WRITE events this call logged, one per emitted word.
+        """
         if self._done:
             raise RuntimeError("utterance already finished")
         if self._state.source_finished:
@@ -377,8 +324,11 @@ class SimulEngine:
         )
         return self._drain_writes()
 
-    def finish_source(self) -> list[Emission]:
-        """Mark the source complete and WRITE out the rest of the target."""
+    def finish_source(self) -> list[Event]:
+        """Mark the source complete and WRITE out the rest of the target.
+
+        Returns the WRITE events this call logged.
+        """
         if self._done:
             return []
         if self._state.source_finished:
@@ -406,29 +356,18 @@ class SimulEngine:
                 posterior, len(self._frames) - posterior.n_frames
             )
 
-    def _drain_writes(self) -> list[Emission]:
-        emitted: list[Emission] = []
+    def _drain_writes(self) -> list[Event]:
+        first = len(self._events)
         while not self._done and decide(self._state, self._config) is ActionKind.WRITE:
-            outcome = generate_word(
-                self._model,
-                self._encoder_states,
-                self._state,
-                self._config,
-                call=self._timed,
-            )
+            outcome = self._generate_word()
             if outcome.word is not None:
-                emission = Emission(
-                    outcome.word, self._state.received_ms, self._wall_now()
-                )
                 self._state.emitted_words += 1
-                self._emissions.append(emission)
-                emitted.append(emission)
                 self._events.append(
                     Event(
                         ActionKind.WRITE,
                         outcome.word,
-                        emission.ideal_ms,
-                        emission.wall_ms,
+                        self._state.received_ms,
+                        self._wall_now(),
                     )
                 )
             if outcome.truncated:
@@ -444,7 +383,47 @@ class SimulEngine:
                 self._truncated = True
                 self._trim_to_last_complete_word()
                 self._done = True
-        return emitted
+        return self._events[first:]
+
+    def _generate_word(self) -> WordOutcome:
+        """Run decoder steps until one more complete target word exists.
+
+        Appends committed tokens to the state; :meth:`_drain_writes` decides
+        what to do with the outcome.
+        """
+        model, state, config = self._model, self._state, self._config
+        convention = model.target_convention
+        appended = 0
+        while True:
+            words = extend_word_spans(
+                state.target_words, state.target_tokens, convention
+            )
+            if len(words) > state.emitted_words:
+                return WordOutcome(words[state.emitted_words][0], eos=False)
+            if appended >= MAX_TOKENS_PER_WORD:
+                logger.warning("word generation hit the per-write token cap")
+                return WordOutcome(
+                    _flush_partial(state, convention), eos=True, truncated=True
+                )
+            scores = self._timed(model.decoder_step, self._encoder_states,
+                                 state.target_token_ids)
+            next_id = int(np.argmax(scores))
+            if next_id == model.eos_id:
+                if state.source_finished or not config.force_finish:
+                    return WordOutcome(
+                        _flush_partial(state, convention), eos=True
+                    )
+                if not config.effective_avoid_eos:
+                    return WordOutcome(None, eos=False, read_forced=True)
+                masked = np.asarray(scores, dtype=float).copy()
+                masked[model.eos_id] = -np.inf
+                if masked.size < 2 or not np.isfinite(masked).any():
+                    return WordOutcome(None, eos=False, read_forced=True)
+                next_id = int(np.argmax(masked))
+            token = SubwordToken(model.target_vocab[next_id], convention)
+            state.target_tokens.append(token)
+            state.target_token_ids.append(next_id)
+            appended += 1
 
     def _trim_to_last_complete_word(self) -> None:
         """Drop a trailing partial word so tokens detokenize to the words."""
@@ -460,11 +439,12 @@ class SimulEngine:
     def result(self) -> tuple[Hypothesis, list[Event]]:
         if not self._done:
             raise RuntimeError("utterance still in progress")
+        writes = [e for e in self._events if e.kind is ActionKind.WRITE]
         hypothesis = Hypothesis(
             tokens=tuple(self._state.target_tokens),
-            words=tuple(e.word for e in self._emissions),
-            ideal_delays_ms=tuple(e.ideal_ms for e in self._emissions),
-            wall_delays_ms=tuple(e.wall_ms for e in self._emissions),
+            words=tuple(e.payload for e in writes),
+            ideal_delays_ms=tuple(e.ideal_ms for e in writes),
+            wall_delays_ms=tuple(e.wall_ms for e in writes),
             truncated=self._truncated,
         )
         return hypothesis, list(self._events)

@@ -1,12 +1,12 @@
 """Line-delimited JSON streaming protocol over TCP.
 
 One translation session per connection.  The client opens with HELLO (policy
-settings, frame duration, optionally a per-session model override), streams
-CHUNK messages of feature frames, and closes the source with EOS_SRC.  The
-server interleaves WORD messages exactly when the in-process engine would
-emit them -- both sides are the same :class:`~simulharness.policy.SimulEngine`
--- and ends the target stream with EOS_TGT.  Any protocol violation or model
-failure is answered with an ERROR message and the connection is closed.
+settings, frame duration, word cap and utterance id), streams CHUNK messages
+of feature frames, and closes the source with EOS_SRC.  The server
+interleaves WORD messages exactly when the in-process engine would emit them
+-- both sides are the same :class:`~simulharness.policy.SimulEngine` -- and
+ends the target stream with EOS_TGT.  Any protocol violation or model failure
+is answered with an ERROR message and the connection is closed.
 
 Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms`` (each side stamps its own
@@ -33,9 +33,8 @@ from typing import Sequence
 
 from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
 from .core import default_max_target_words, segment_stream
-from .harness import CorpusResult, UtteranceResult
-from .metrics import DelaySequence, aggregate_metrics
-from .model import LexiconMockModel, ModelInterface
+from .harness import CorpusResult, evaluate_utterance, score_results
+from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine
 
 logger = logging.getLogger(__name__)
@@ -53,6 +52,9 @@ VALID_KINDS = frozenset(
 
 #: message kinds a client may send, per protocol state
 _CLIENT_KINDS = frozenset({KIND_HELLO, KIND_CHUNK, KIND_EOS_SRC})
+
+#: the fields a HELLO payload may carry
+_HELLO_FIELDS = frozenset({"config", "frame_ms", "max_target_words", "utt_id"})
 
 
 class ServiceError(RuntimeError):
@@ -131,11 +133,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             )
             send(KIND_ERROR, {"message": text})
 
-        def send_emissions(emissions) -> None:
-            for emission in emissions:
+        def send_words(writes) -> None:
+            for write in writes:
                 send(
                     KIND_WORD,
-                    {"word": emission.word, "ideal_ms": emission.ideal_ms},
+                    {"word": write.payload, "ideal_ms": write.ideal_ms},
                 )
 
         def send_eos_tgt() -> None:
@@ -168,25 +170,19 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     session_id = message.session
                     payload = message.payload or {}
                     try:
+                        if not isinstance(payload, dict):
+                            raise ValueError("HELLO payload must be an object")
+                        unknown = set(payload) - _HELLO_FIELDS
+                        if unknown:
+                            raise ValueError(
+                                f"unknown HELLO fields {sorted(unknown)}"
+                            )
                         config = PolicyConfig.from_dict(
                             payload.get("config") or {}
                         )
                         frame_ms = int(payload.get("frame_ms", 10))
-                        model = self.server.model
-                        if payload.get("model"):
-                            model = LexiconMockModel(
-                                payload["model"]["lexicon"],
-                                target_convention=Convention(
-                                    payload["model"].get(
-                                        "target_convention", "bpe"
-                                    )
-                                ),
-                                target_piece_len=payload["model"].get(
-                                    "target_piece_len"
-                                ),
-                            )
                         engine = SimulEngine(
-                            model,
+                            self.server.model,
                             config,
                             frame_ms=frame_ms,
                             max_target_words=payload.get("max_target_words"),
@@ -214,13 +210,13 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                             Frame(tuple(float(x) for x in row), frame_ms)
                             for row in rows
                         ]
-                        send_emissions(engine.push_chunk(frames))
+                        send_words(engine.push_chunk(frames))
                         if engine.done:
                             # the model closed the target early
                             send_eos_tgt()
                             return
                     else:  # EOS_SRC
-                        send_emissions(engine.finish_source())
+                        send_words(engine.finish_source())
                         send_eos_tgt()
                         return
                 except Exception as exc:
@@ -239,9 +235,8 @@ class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
 class StreamTranslationServer:
     """Threaded TCP server hosting one engine per connection.
 
-    The given model is the default for all sessions; a HELLO payload may
-    carry a ``model`` override (a lexicon config) so concurrent sessions can
-    run fully isolated models.
+    Every session runs on the given model, which must therefore keep no
+    per-utterance state of its own (the engine holds it).
     """
 
     def __init__(
@@ -315,8 +310,7 @@ def stream_utterance(
     ideal delays from the wire, wall delays from client arrival clamped to
     the ideal -- plus the raw per-word arrival times in ms.
     """
-    if pacing not in ("fast", "realtime"):
-        raise ValueError(f"unknown pacing {pacing!r}")
+    _check_pacing(pacing)
     chunks = segment_stream(utterance, config.step_ms)
     session = f"{utterance.id}-{uuid.uuid4().hex[:8]}"
     frame_ms = utterance.frame_ms or 10
@@ -418,6 +412,11 @@ def stream_utterance(
     return hypothesis, arrivals
 
 
+def _check_pacing(pacing: str) -> None:
+    if pacing not in ("fast", "realtime"):
+        raise ValueError(f"unknown pacing {pacing!r}")
+
+
 def client_evaluate(
     address: tuple[str, int],
     utterances: Sequence[Utterance],
@@ -428,49 +427,19 @@ def client_evaluate(
 ) -> CorpusResult:
     """Evaluate a corpus against a remote server, one session per utterance.
 
-    Transport or remote failures are recorded per utterance; a fully
-    unreachable server yields a zero-utterance report with every utterance
-    listed as failed.
+    Any failure of a session -- transport, remote error or a malformed reply
+    -- is recorded for its utterance alone; a fully unreachable server yields
+    a zero-utterance report with every utterance listed as failed.
     """
-    results: list[UtteranceResult] = []
-    for utterance in utterances:
-        if not utterance.reference:
-            results.append(
-                UtteranceResult(
-                    utterance.id, None, (), None,
-                    error="utterance has an empty reference",
-                )
-            )
-            continue
-        try:
-            hypothesis, _arrivals = stream_utterance(
-                address, utterance, config,
-                pacing=pacing, timeout_s=timeout_s,
-            )
-        except (ServiceError, OSError) as exc:
-            logger.error("utterance %s failed: %s", utterance.id, exc)
-            results.append(
-                UtteranceResult(utterance.id, None, (), None, error=str(exc))
-            )
-            continue
-        delays = DelaySequence(
-            ideal_ms=hypothesis.ideal_delays_ms,
-            wall_ms=hypothesis.wall_delays_ms,
-            source_ms=float(utterance.duration_ms),
-            hyp_len=len(hypothesis.words),
-            ref_len=len(utterance.reference),
+    _check_pacing(pacing)
+    utterances = list(utterances)
+
+    def translate(utterance: Utterance) -> tuple[Hypothesis, tuple]:
+        hypothesis, _arrivals = stream_utterance(
+            address, utterance, config, pacing=pacing, timeout_s=timeout_s
         )
-        results.append(
-            UtteranceResult(utterance.id, hypothesis, (), delays)
-        )
-    scored = [
-        (r, u)
-        for r, u in zip(results, utterances)
-        if r.error is None
-    ]
-    report = aggregate_metrics(
-        [list(r.hypothesis.words) for r, _ in scored],
-        [list(u.reference) for _, u in scored],
-        [r.delays for r, _ in scored],
+        return hypothesis, ()
+
+    return score_results(
+        utterances, [evaluate_utterance(u, translate) for u in utterances]
     )
-    return CorpusResult(report, tuple(results))

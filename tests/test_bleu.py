@@ -1,13 +1,19 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import simulharness
 from helpers import oracle_bleu
 from simulharness import corpus_bleu, tokenize_13a
+
+
+def test_the_bleu_submodule_is_not_shadowed():
+    assert simulharness.bleu is sys.modules["simulharness.bleu"]
 
 # ---------------------------------------------------------------------------
 # Tokenizer: frozen fixtures (hand-derived from the documented rules)

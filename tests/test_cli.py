@@ -8,7 +8,9 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from helpers import DecoderFailsOnHaus, aligned_utterance
 from simulharness import (
+    cli,
     load_manifest,
     load_model_config,
     read_curve_csv,
@@ -154,6 +156,42 @@ def test_offline_command_scores_and_dumps(demo, tmp_path):
     ]
     assert [r["id"] for r in records] == [f"demo-{i:04d}" for i in range(4)]
     assert all(r["words"] and r["tokens"] for r in records)
+
+
+def test_offline_command_isolates_any_model_exception(tmp_path, monkeypatch):
+    model = DecoderFailsOnHaus()
+    manifest = tmp_path / "manifest.jsonl"
+    cases = {
+        "a": ["da", "esel", "geht", "hin"],
+        "bad": ["geht", "haus"],
+        "c": ["ja", "da", "esel", "geht"],
+    }
+    with manifest.open("w", encoding="utf-8") as handle:
+        for utt_id, words in cases.items():
+            utt = aligned_utterance(model, words, utt_id=utt_id)
+            record = {
+                "id": utt.id,
+                "frame_ms": utt.frame_ms,
+                "frames": [list(f.features) for f in utt.frames],
+                "reference": list(utt.reference),
+            }
+            handle.write(json.dumps(record) + "\n")
+    model_path = tmp_path / "model.json"
+    model_path.write_text("{}", encoding="utf-8")
+    monkeypatch.setattr(cli, "load_model_config", lambda path: model)
+    out_path = tmp_path / "hyps.jsonl"
+    result = _run(
+        "offline", "--manifest", manifest,
+        "--model-config", model_path, "--out", out_path,
+    )
+    assert result.exit_code == 1, _all_output(result)
+    assert "failed: bad: decoder table out of range" in _all_output(result)
+    assert "offline BLEU 100.00 | n=2" in result.output
+    records = [
+        json.loads(line)
+        for line in out_path.read_text(encoding="utf-8").splitlines()
+    ]
+    assert [r["id"] for r in records] == ["a", "c"]
 
 
 def test_remote_eval_against_a_served_model(demo, tmp_path):

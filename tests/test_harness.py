@@ -22,6 +22,7 @@ from simulharness import (
     SweepSpec,
     aggregate_metrics,
     evaluate_corpus,
+    offline_greedy_translate,
     read_curve_csv,
     read_event_log,
     report_regimes,
@@ -30,6 +31,7 @@ from simulharness import (
     write_curve_csv,
     write_eval_outputs,
 )
+from simulharness.harness import evaluate_utterance, score_results
 
 
 def _corpus(model, n_utts=3, n_words=6):
@@ -110,6 +112,31 @@ def test_evaluate_corpus_isolates_any_model_exception():
     assert [e.kind.value for e in failed.events] == ["READ", "WRITE", "READ"]
     assert corpus.report.n_utts == 1
     assert corpus.report.bleu == pytest.approx(100.0, abs=1e-9)
+
+
+def test_one_scoring_path_serves_any_translator():
+    model = make_model()
+    a = aligned_utterance(model, ["da", "esel", "geht", "hin"], utt_id="a")
+    b = aligned_utterance(model, ["hin", "ja"], utt_id="b")
+
+    def offline(utterance):
+        return offline_greedy_translate(model, utterance), ()
+
+    def broken(utterance):
+        raise KeyError("no such table")
+
+    results = [evaluate_utterance(a, offline), evaluate_utterance(b, broken)]
+    assert results[1].error == "'no such table'"
+    assert results[1].events == () and results[1].delays is None
+    corpus = score_results([a, b], results)
+    assert corpus.failures == ("b",)
+    assert corpus.report.n_utts == 1
+    assert corpus.report.bleu == pytest.approx(100.0, abs=1e-9)
+    # offline, every word waits for the whole source: AL = LAAL = duration
+    assert corpus.report.al_ms == pytest.approx(a.duration_ms)
+    assert corpus.report.laal_ms == pytest.approx(a.duration_ms)
+    with pytest.raises(ValueError):
+        score_results([a], results)
 
 
 def test_evaluate_corpus_rejects_empty_references_per_utterance():

@@ -290,10 +290,3 @@ def test_offline_translation_word_cap_trims_to_complete_words():
     # tokens detokenize to exactly the reported words
     surfaces = "".join(t.surface.replace("@@", "") for t in hyp.tokens)
     assert surfaces == "donkeyhouse"
-
-
-def test_offline_translation_rejects_beam_search():
-    model = make_model()
-    utt = aligned_utterance(model, ["da"])
-    with pytest.raises(ValueError, match="beam=1"):
-        offline_greedy_translate(model, utt, beam=2)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import threading
 
 import pytest
@@ -180,6 +181,14 @@ def _chunk_rows(model, words):
             [_msg("HELLO", payload={"config": {"k": 2, "bogus": 1}})],
             "config: unknown policy fields",
         ),
+        (
+            [_hello(model={"lexicon": EXPANDING_LEXICON})],
+            "config: unknown HELLO fields ['model']",
+        ),
+        (
+            [_msg("HELLO", payload="config")],
+            "config: HELLO payload must be an object",
+        ),
     ],
 )
 def test_protocol_violations_get_an_error_reply(server, lines, complaint):
@@ -236,28 +245,6 @@ def test_any_model_exception_ends_the_session_with_an_error():
     assert corpus.report.n_utts == 1
 
 
-def test_hello_can_override_the_session_model(server):
-    override = make_model(EXPANDING_LEXICON, target_piece_len=2)
-    words = ["da", "geht"]
-    lines = [
-        _hello(
-            k=1,
-            model={
-                "lexicon": EXPANDING_LEXICON,
-                "target_convention": "bpe",
-                "target_piece_len": 2,
-            },
-        ),
-        _msg("CHUNK", payload={"frames": _chunk_rows(override, words)}),
-        _msg("EOS_SRC"),
-    ]
-    replies = _exchange(server.address, lines)
-    assert replies[-1].kind == "EOS_TGT"
-    words_out = [m.payload["word"] for m in replies if m.kind == "WORD"]
-    assert words_out == override.translate_words(words)
-    assert replies[-1].payload["n_words"] == len(words_out)
-
-
 def test_concurrent_sessions_stay_isolated(server):
     model = make_model()
     cases = {
@@ -310,6 +297,45 @@ def test_client_evaluate_records_unreachable_server():
     assert corpus.failures == ("u0", "u1")
     assert corpus.report.n_utts == 0
     assert corpus.report.bleu is None
+
+
+class _NullWordHandler(socketserver.StreamRequestHandler):
+    """A broken server: answers HELLO with a WORD whose payload is null."""
+
+    def handle(self):
+        hello = WireMessage.parse(self.rfile.readline())
+        eos = {"tokens": [], "convention": "bpe", "truncated": False}
+        for kind, payload in (("WORD", None), ("EOS_TGT", eos)):
+            reply = WireMessage(kind, hello.session, payload)
+            self.wfile.write(reply.to_line())
+        self.wfile.flush()
+        for _ in self.rfile:  # let the client finish sending
+            pass
+
+
+def test_client_evaluate_records_a_malformed_reply_per_utterance():
+    model = make_model()
+    utts = [aligned_utterance(model, ["da"], utt_id=f"u{i}") for i in range(3)]
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _NullWordHandler)
+    stub.daemon_threads = True
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        corpus = client_evaluate(
+            stub.server_address, utts, PolicyConfig(k=1), timeout_s=10
+        )
+    finally:
+        stub.shutdown()
+        stub.server_close()
+    assert corpus.failures == ("u0", "u1", "u2")
+    assert all(r.hypothesis is None for r in corpus.results)
+    assert corpus.report.n_utts == 0
+
+
+def test_client_evaluate_rejects_unknown_pacing_before_any_session():
+    model = make_model()
+    utts = [aligned_utterance(model, ["da"], utt_id=f"u{i}") for i in range(2)]
+    with pytest.raises(ValueError, match="unknown pacing 'warp'"):
+        client_evaluate(("127.0.0.1", 9), utts, PolicyConfig(), pacing="warp")
 
 
 def test_serve_helper_binds_and_answers():

@@ -209,24 +209,17 @@ def _exit_on_failures(result: CorpusResult) -> None:
 @click.option("--out", "out_dir", type=_PATH_OUT_DIR,
               default=Path("eval_out"), show_default=True,
               help="Directory for metrics.json and per-utterance logs.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Parallel evaluation threads (serial runs keep "
-              "computation-aware numbers clean).")
 def eval_command(
     manifest_path: Path,
     model_path: Path,
     out_dir: Path,
-    workers: int,
     **policy_flags,
 ) -> None:
     """Evaluate a manifest with one policy setting."""
     utterances = _load_utterances(manifest_path)
     model = _load_model(model_path)
     config = _build_config(**policy_flags)
-    factory = (lambda: load_model_config(model_path)) if workers > 1 else None
-    result = evaluate_corpus(
-        utterances, model, config, workers=workers, model_factory=factory
-    )
+    result = evaluate_corpus(utterances, model, config)
     write_eval_outputs(out_dir, result)
     click.echo(_summary_line(result))
     click.echo(f"wrote {out_dir / 'metrics.json'}")

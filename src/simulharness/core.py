@@ -48,32 +48,30 @@ class SubwordToken:
 
 @dataclass(frozen=True)
 class Frame:
-    """A single feature frame covering ``duration_ms`` of source signal."""
+    """A single feature frame; its duration is the utterance's ``frame_ms``."""
 
     features: tuple[float, ...]
-    duration_ms: int = 10
 
     def __post_init__(self) -> None:
         if not isinstance(self.features, tuple):
             object.__setattr__(
                 self, "features", tuple(float(x) for x in self.features)
             )
-        if self.duration_ms <= 0:
-            raise ValueError("frame duration_ms must be positive")
 
 
 @dataclass(frozen=True)
 class Utterance:
     """A source utterance: frames plus optional transcript and reference.
 
-    ``word_end_frames`` carries oracle alignment metadata (the index of each
-    source word's final frame) when the utterance was built synthetically; it
-    is ``None`` for real data.
+    Every frame covers ``frame_ms`` of source signal, so the utterance lasts
+    ``n_frames * frame_ms``.  ``word_end_frames`` carries oracle alignment
+    metadata (the index of each source word's final frame) when the
+    utterance was built synthetically; it is ``None`` for real data.
     """
 
     id: str
     frames: tuple[Frame, ...]
-    duration_ms: int | None = None
+    frame_ms: int = 10
     transcript: tuple[str, ...] | None = None
     reference: tuple[str, ...] = ()
     word_end_frames: tuple[int, ...] | None = None
@@ -87,24 +85,16 @@ class Utterance:
             object.__setattr__(
                 self, "word_end_frames", tuple(self.word_end_frames)
             )
-        total = sum(f.duration_ms for f in self.frames)
-        if self.duration_ms is None:
-            object.__setattr__(self, "duration_ms", total)
-        elif self.duration_ms != total:
-            raise ValueError(
-                f"duration_ms={self.duration_ms} but frames sum to {total}"
-            )
-        if len({f.duration_ms for f in self.frames}) > 1:
-            raise ValueError("all frames in an utterance must share a duration")
+        if self.frame_ms <= 0:
+            raise ValueError("frame_ms must be positive")
         if len({len(f.features) for f in self.frames}) > 1:
             raise ValueError(
                 "all frames in an utterance must share a feature dimension"
             )
 
     @property
-    def frame_ms(self) -> int | None:
-        """Duration of each frame, or None for a frameless utterance."""
-        return self.frames[0].duration_ms if self.frames else None
+    def duration_ms(self) -> int:
+        return self.n_frames * self.frame_ms
 
     @property
     def n_frames(self) -> int:
@@ -144,13 +134,14 @@ class Hypothesis:
             raise ValueError("one delay pair is required per emitted word")
 
 
-def default_max_target_words(utterance: Utterance) -> int:
-    """Safety cap on generated words: twice the source length plus slack."""
-    if utterance.transcript:
-        return 2 * len(utterance.transcript) + 16
-    if utterance.reference:
-        return 2 * len(utterance.reference) + 16
-    return 64
+def default_max_target_words(utterance: Utterance | None = None) -> int:
+    """Safety cap on generated words: twice the source length plus slack.
+
+    The length is the transcript's, else the reference's; with neither (or
+    no utterance at all) the cap is 64 words.
+    """
+    words = utterance and (utterance.transcript or utterance.reference)
+    return 2 * len(words) + 16 if words else 64
 
 
 # ---------------------------------------------------------------------------
@@ -312,13 +303,12 @@ def segment_stream(
     frames = utterance.frames
     if not frames:
         return []
-    frame_ms = frames[0].duration_ms
-    if step_ms % frame_ms:
+    if step_ms % utterance.frame_ms:
         raise ValueError(
             f"step_ms={step_ms} is not a multiple of the "
-            f"{frame_ms} ms frame duration"
+            f"{utterance.frame_ms} ms frame duration"
         )
-    per_chunk = step_ms // frame_ms
+    per_chunk = step_ms // utterance.frame_ms
     return [frames[i : i + per_chunk] for i in range(0, len(frames), per_chunk)]
 
 
@@ -329,6 +319,16 @@ def segment_stream(
 
 class ManifestError(ValueError):
     """A corpus manifest could not be parsed."""
+
+
+def decode_json(text: str | bytes) -> object:
+    """``json.loads``, with too deep a nesting -- a ``RecursionError`` in the
+    stdlib parser, which no ``ValueError`` handler catches -- reported as a
+    decode error."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", "", 0) from None
 
 
 _REQUIRED_FIELDS = ("id", "frames", "frame_ms", "reference")
@@ -361,7 +361,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = decode_json(line)
             except json.JSONDecodeError as exc:
                 raise ManifestError(
                     f"malformed JSON at line {lineno}: {exc.msg}"
@@ -393,7 +393,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
             if isinstance(raw_frames, str):
                 frames_path = path.parent / raw_frames
                 try:
-                    raw_frames = json.loads(
+                    raw_frames = decode_json(
                         frames_path.read_text(encoding="utf-8")
                     )
                 except FileNotFoundError as exc:
@@ -413,8 +413,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
                 )
             try:
                 frames = tuple(
-                    Frame(tuple(float(x) for x in row), frame_ms)
-                    for row in raw_frames
+                    Frame(tuple(float(x) for x in row)) for row in raw_frames
                 )
             except (TypeError, ValueError) as exc:
                 raise ManifestError(
@@ -429,6 +428,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
                     Utterance(
                         id=utt_id,
                         frames=frames,
+                        frame_ms=frame_ms,
                         transcript=transcript,
                         reference=reference,
                     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from statistics import fmean
@@ -113,35 +111,19 @@ def evaluate_corpus(
     utterances: Sequence[Utterance],
     model: ModelInterface,
     config: PolicyConfig,
-    *,
-    workers: int = 1,
-    model_factory: Callable[[], ModelInterface] | None = None,
 ) -> CorpusResult:
     """Run the policy over every utterance and aggregate corpus metrics.
 
-    A failing utterance is recorded (with its partial log) and the rest of
-    the corpus still runs.  With ``workers > 1`` utterances fan out to
-    threads, each owning its own model from ``model_factory`` (the given
-    model is reused when no factory is supplied); computation-aware numbers
-    are only meaningful from serial runs.
+    Utterances run one after another in the calling thread, so the
+    computation-aware numbers time the model and engine alone.  A failing
+    utterance is recorded (with its partial log) and the rest of the corpus
+    still runs.
     """
     utterances = list(utterances)
-    factory = (workers > 1 and model_factory) or (lambda: model)
-    thread_local = threading.local()
-
-    def run(utterance: Utterance) -> UtteranceResult:
-        if not hasattr(thread_local, "model"):
-            thread_local.model = factory()
-        worker_model = thread_local.model
-        return evaluate_utterance(
-            utterance, lambda u: run_simultaneous(worker_model, u, config)
-        )
-
-    if workers <= 1:
-        results = [run(u) for u in utterances]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, utterances))
+    results = [
+        evaluate_utterance(u, lambda utt: run_simultaneous(model, utt, config))
+        for u in utterances
+    ]
     return score_results(utterances, results)
 
 

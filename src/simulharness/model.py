@@ -114,7 +114,6 @@ class ModelInterface(ABC):
 
 @dataclass(frozen=True)
 class _MockStates:
-    n_frames: int
     visible_words: tuple[str, ...]
     #: target token ids translating ``visible_words``, in order
     target_ids: tuple[int, ...]
@@ -253,7 +252,7 @@ class LexiconMockModel(ModelInterface):
             i for word in visible for i in self._target_ids[word]
         )
         posterior = CtcPosterior(rows, self._source_vocab, blank_id=0)
-        return _MockStates(len(frames), visible, target_ids), posterior
+        return _MockStates(visible, target_ids), posterior
 
     def encode_more(
         self, states: _MockStates | None, frames: Sequence[Frame], start: int
@@ -265,7 +264,6 @@ class LexiconMockModel(ModelInterface):
             return tail, posterior
         return (
             _MockStates(
-                states.n_frames + tail.n_frames,
                 states.visible_words + tail.visible_words,
                 states.target_ids + tail.target_ids,
             ),
@@ -444,7 +442,7 @@ def build_synthetic_utterance(
         if duration < 0:
             raise ValueError("silence durations must be non-negative")
         frames.extend(
-            Frame(silence_row, frame_ms)
+            Frame(silence_row)
             for _ in range(check_multiple(duration, "a silence gap"))
         )
 
@@ -462,14 +460,15 @@ def build_synthetic_utterance(
         final = tuple(
             BOUNDARY_GAIN if j == channel else 0.0 for j in range(dim)
         )
-        frames.extend([Frame(interior, frame_ms)] * (n - 1))
-        frames.append(Frame(final, frame_ms))
+        frames.extend([Frame(interior)] * (n - 1))
+        frames.append(Frame(final))
         ends.append(len(frames) - 1)
         add_silence(gap)
 
     return Utterance(
         id=utt_id,
         frames=tuple(frames),
+        frame_ms=frame_ms,
         transcript=tuple(words),
         reference=tuple(reference),
         word_end_frames=tuple(ends),

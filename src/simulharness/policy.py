@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -61,9 +61,6 @@ logger = logging.getLogger(__name__)
 #: A lag long enough that any real source is exhausted before the first WRITE.
 WAIT_FOREVER = 10**9
 
-#: Default word cap when nothing about the utterance length is known.
-FALLBACK_WORD_CAP = 64
-
 
 class ActionKind(Enum):
     READ = "READ"
@@ -76,7 +73,9 @@ class PolicyConfig:
 
     ``avoid_eos_while_reading=None`` selects the per-detection default
     (on for adaptive, off for fixed); see :meth:`effective_avoid_eos`.
-    ``max_target_words=None`` derives the safety cap per utterance.
+    ``max_target_words=None`` leaves the safety cap to
+    :func:`~simulharness.core.default_max_target_words`, which the runner
+    and the wire client resolve per utterance before an engine starts.
     """
 
     k: int = 3
@@ -232,7 +231,6 @@ class SimulEngine:
         config: PolicyConfig,
         *,
         frame_ms: int = 10,
-        max_target_words: int | None = None,
     ) -> None:
         if frame_ms <= 0:
             raise ValueError("frame_ms must be positive")
@@ -244,11 +242,7 @@ class SimulEngine:
         self._model = model
         self._config = config
         self._frame_ms = frame_ms
-        self._cap = (
-            max_target_words
-            or config.max_target_words
-            or FALLBACK_WORD_CAP
-        )
+        self._cap = config.max_target_words or default_max_target_words()
         self._frames: list[Frame] = []
         self._state = SimulState()
         self._encoder_states: object | None = None
@@ -305,10 +299,6 @@ class SimulEngine:
         frames = list(frames)
         if not frames:
             raise ValueError("a chunk must contain at least one frame")
-        if any(f.duration_ms != self._frame_ms for f in frames):
-            raise ValueError(
-                f"all frames must last {self._frame_ms} ms"
-            )
         start_ms = self._state.received_ms
         start = len(self._frames)
         self._frames.extend(frames)
@@ -462,14 +452,13 @@ def run_simultaneous(
     exception the model raised.
     """
     chunks = segment_stream(utterance, config.step_ms)
-    engine = SimulEngine(
-        model,
+    config = replace(
         config,
-        frame_ms=utterance.frame_ms or 10,
         max_target_words=(
             config.max_target_words or default_max_target_words(utterance)
         ),
     )
+    engine = SimulEngine(model, config, frame_ms=utterance.frame_ms)
     try:
         for chunk in chunks:
             if engine.done:

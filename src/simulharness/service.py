@@ -1,8 +1,9 @@
 """Line-delimited JSON streaming protocol over TCP.
 
-One translation session per connection.  The client opens with HELLO (policy
-settings, frame duration, word cap and utterance id), streams CHUNK messages
-of feature frames, and closes the source with EOS_SRC.  The server
+One translation session per connection.  The client opens with HELLO (the
+policy settings, its word cap resolved for the utterance, and the frame
+duration), streams CHUNK messages of feature frames, and closes the source
+with EOS_SRC.  The session id names the utterance.  The server
 interleaves WORD messages exactly when the in-process engine would emit them
 -- both sides are the same :class:`~simulharness.policy.SimulEngine` -- and
 ends the target stream with EOS_TGT.  Any protocol violation or model failure
@@ -28,11 +29,11 @@ import socketserver
 import threading
 import time
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
-from .core import default_max_target_words, segment_stream
+from .core import decode_json, default_max_target_words, segment_stream
 from .harness import CorpusResult, evaluate_utterance, score_results
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine
@@ -54,7 +55,7 @@ VALID_KINDS = frozenset(
 _CLIENT_KINDS = frozenset({KIND_HELLO, KIND_CHUNK, KIND_EOS_SRC})
 
 #: the fields a HELLO payload may carry
-_HELLO_FIELDS = frozenset({"config", "frame_ms", "max_target_words", "utt_id"})
+_HELLO_FIELDS = frozenset({"config", "frame_ms"})
 
 
 class ServiceError(RuntimeError):
@@ -84,7 +85,7 @@ class WireMessage:
         if isinstance(line, bytes):
             line = line.decode("utf-8")
         try:
-            record = json.loads(line)
+            record = decode_json(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed message: {exc.msg}") from exc
         if not isinstance(record, dict):
@@ -147,12 +148,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 {
                     "tokens": [t.surface for t in hypothesis.tokens],
                     "convention": engine.model.target_convention.value,
-                    "n_words": len(hypothesis.words),
                     "truncated": hypothesis.truncated,
                 },
             )
 
-        frame_ms = 10
         try:
             for raw in self.rfile:
                 try:
@@ -180,12 +179,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         config = PolicyConfig.from_dict(
                             payload.get("config") or {}
                         )
-                        frame_ms = int(payload.get("frame_ms", 10))
                         engine = SimulEngine(
                             self.server.model,
                             config,
-                            frame_ms=frame_ms,
-                            max_target_words=payload.get("max_target_words"),
+                            frame_ms=int(payload.get("frame_ms", 10)),
                         )
                     except Exception as exc:
                         fail(f"config: {exc}")
@@ -197,9 +194,6 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 if message.kind == KIND_HELLO:
                     fail("protocol: session already started")
                     return
-                if engine.done:
-                    fail("protocol: session already finished")
-                    return
                 try:
                     if message.kind == KIND_CHUNK:
                         rows = (message.payload or {}).get("frames")
@@ -207,8 +201,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                             fail("protocol: CHUNK carries no frames")
                             return
                         frames = [
-                            Frame(tuple(float(x) for x in row), frame_ms)
-                            for row in rows
+                            Frame(tuple(float(x) for x in row)) for row in rows
                         ]
                         send_words(engine.push_chunk(frames))
                         if engine.done:
@@ -313,7 +306,12 @@ def stream_utterance(
     _check_pacing(pacing)
     chunks = segment_stream(utterance, config.step_ms)
     session = f"{utterance.id}-{uuid.uuid4().hex[:8]}"
-    frame_ms = utterance.frame_ms or 10
+    config = replace(
+        config,
+        max_target_words=(
+            config.max_target_words or default_max_target_words(utterance)
+        ),
+    )
 
     received: list[tuple[WireMessage, float]] = []
     reader_error: list[str] = []
@@ -353,15 +351,7 @@ def stream_utterance(
 
         transmit(
             KIND_HELLO,
-            {
-                "config": config.to_dict(),
-                "frame_ms": frame_ms,
-                "max_target_words": (
-                    config.max_target_words
-                    or default_max_target_words(utterance)
-                ),
-                "utt_id": utterance.id,
-            },
+            {"config": config.to_dict(), "frame_ms": utterance.frame_ms},
         )
         try:
             for chunk in chunks:

@@ -202,7 +202,7 @@ def test_criterion_04_adaptive_detection_oracle():
             )
             assert detected.word_count == sum(1 for e in ends if e < cut)
 
-            silence = [Frame((0.0,) * width, 10)] * 56  # 560 ms of nothing
+            silence = [Frame((0.0,) * width)] * 56  # 560 ms of nothing
             _, extended = model.encode_prefix(list(utt.frames) + silence)
             after = adaptive_word_count(
                 ctc_greedy_collapse(extended, convention), convention

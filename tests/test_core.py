@@ -161,24 +161,20 @@ def test_subword_tokens_piece_shapes():
 
 
 def test_frame_coerces_features_and_validates_duration():
-    frame = Frame([1, 0], 10)
+    frame = Frame([1, 0])
     assert frame.features == (1.0, 0.0)
-    with pytest.raises(ValueError, match="duration_ms must be positive"):
-        Frame((1.0,), 0)
+    with pytest.raises(ValueError, match="frame_ms must be positive"):
+        Utterance(id="u", frames=(frame,), frame_ms=0)
 
 
 def test_utterance_computes_duration_and_validates():
-    frames = tuple(Frame((0.0,), 10) for _ in range(5))
+    frames = tuple(Frame((0.0,)) for _ in range(5))
     utt = Utterance(id="u", frames=frames)
     assert utt.duration_ms == 50
     assert utt.frame_ms == 10
     assert utt.n_frames == 5
-    with pytest.raises(ValueError, match="frames sum to"):
-        Utterance(id="u", frames=frames, duration_ms=40)
-    mixed = frames + (Frame((0.0,), 20),)
-    with pytest.raises(ValueError, match="share a duration"):
-        Utterance(id="u", frames=mixed)
-    ragged = frames + (Frame((0.0, 0.0), 10),)
+    assert Utterance(id="u", frames=frames, frame_ms=20).duration_ms == 100
+    ragged = frames + (Frame((0.0, 0.0)),)
     with pytest.raises(ValueError, match="feature dimension"):
         Utterance(id="u", frames=ragged)
 
@@ -186,7 +182,7 @@ def test_utterance_computes_duration_and_validates():
 def test_empty_utterance_has_no_frame_duration():
     utt = Utterance(id="empty", frames=())
     assert utt.duration_ms == 0
-    assert utt.frame_ms is None
+    assert utt.frame_ms == 10  # the default; no frame carries one
 
 
 def test_hypothesis_requires_aligned_delays():
@@ -196,7 +192,7 @@ def test_hypothesis_requires_aligned_delays():
 
 
 def test_default_max_target_words_prefers_transcript():
-    frames = (Frame((0.0,), 10),)
+    frames = (Frame((0.0,)),)
     utt = Utterance(id="u", frames=frames, transcript=("a", "b", "c"),
                     reference=("x",) * 10)
     assert default_max_target_words(utt) == 2 * 3 + 16
@@ -212,7 +208,9 @@ def test_default_max_target_words_prefers_transcript():
 
 def _utterance_of(n_frames: int, frame_ms: int = 10) -> Utterance:
     return Utterance(
-        id="u", frames=tuple(Frame((0.0,), frame_ms) for _ in range(n_frames))
+        id="u",
+        frames=tuple(Frame((0.0,)) for _ in range(n_frames)),
+        frame_ms=frame_ms,
     )
 
 
@@ -281,6 +279,13 @@ def test_load_manifest_frames_from_side_file(tmp_path):
     path = _write_manifest(tmp_path, [_record(frames="frames_u1.json")])
     manifest = load_manifest(path)
     assert manifest[0].frames[0].features == (0.0, 1.0)
+
+
+def test_load_manifest_reports_deep_nesting_as_a_manifest_error(tmp_path):
+    # the stdlib parser raises RecursionError here, which is no ValueError
+    path = _write_manifest(tmp_path, [_record(), "[" * 200_000])
+    with pytest.raises(ManifestError, match="malformed JSON at line 2"):
+        load_manifest(path)
 
 
 @pytest.mark.parametrize(

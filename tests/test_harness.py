@@ -150,21 +150,6 @@ def test_evaluate_corpus_rejects_empty_references_per_utterance():
     assert corpus.report.n_utts == 1
 
 
-def test_evaluate_corpus_parallel_matches_serial_on_ideal_metrics():
-    serial_model = make_model()
-    utts = _corpus(serial_model, n_utts=6)
-    config = PolicyConfig(k=2, detection="adaptive")
-    serial = evaluate_corpus(utts, serial_model, config)
-    parallel = evaluate_corpus(
-        utts, serial_model, config, workers=3, model_factory=make_model
-    )
-    assert parallel.failures == ()
-    assert parallel.report.bleu == serial.report.bleu
-    assert parallel.report.al_ms == serial.report.al_ms
-    assert parallel.report.laal_ms == serial.report.laal_ms
-    assert parallel.report.len_diff_words == serial.report.len_diff_words
-
-
 # ---------------------------------------------------------------------------
 # Sweeps and the trade-off curve
 # ---------------------------------------------------------------------------

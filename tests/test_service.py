@@ -110,6 +110,37 @@ def test_remote_corpus_report_matches_local(server):
     assert remote.report.n_utts == local.report.n_utts
 
 
+#: "viel" alone fills the derived word cap of a two-word utterance
+_TWENTY_WORDS = {"viel": [f"w{i}" for i in range(20)], "da": "there"}
+
+
+@pytest.mark.parametrize(
+    "config, n_words, last_ms",
+    [
+        # cap derived from the utterance (2 * 2 source words + 16), reached
+        # once the source has ended
+        (PolicyConfig(k=1), 20, 560),
+        # cap reached by the first WRITE: the server ends the target stream
+        # while the client is still sending the source
+        (PolicyConfig(k=1, max_target_words=1), 1, 280),
+    ],
+)
+def test_remote_run_equals_local_run_when_the_word_cap_ends_it(
+    config, n_words, last_ms
+):
+    model = make_model(_TWENTY_WORDS)
+    utt = aligned_utterance(model, ["viel", "da"])
+    local, _ = run_simultaneous(model, utt, config)
+    with StreamTranslationServer(model) as handle:
+        remote, _ = stream_utterance(handle.address, utt, config, timeout_s=10)
+    assert len(local.words) == n_words and local.truncated
+    assert local.ideal_delays_ms[-1] == last_ms
+    assert remote.words == local.words
+    assert remote.tokens == local.tokens
+    assert remote.ideal_delays_ms == local.ideal_delays_ms
+    assert remote.truncated
+
+
 def test_realtime_pacing_still_translates(server):
     model = make_model()
     utt = aligned_utterance(model, ["da", "esel"])
@@ -206,6 +237,22 @@ def test_garbage_line_is_reported_as_malformed(server):
         replies = [WireMessage.parse(raw) for raw in wire]
     assert replies[-1].kind == "ERROR"
     assert replies[-1].payload["message"].startswith(
+        "protocol: malformed message"
+    )
+
+
+def test_deeply_nested_line_is_reported_as_malformed(server):
+    # the stdlib parser raises RecursionError here, which is no ValueError
+    with pytest.raises(ValueError, match="malformed message"):
+        WireMessage.parse("[" * 200_000)
+    with socket.create_connection(server.address, timeout=10) as sock:
+        wire = sock.makefile("rwb")
+        wire.write(b"[" * 200_000 + b"\n")
+        wire.flush()
+        sock.shutdown(socket.SHUT_WR)
+        replies = [WireMessage.parse(raw) for raw in wire]
+    assert [m.kind for m in replies] == ["ERROR"]
+    assert replies[0].payload["message"].startswith(
         "protocol: malformed message"
     )
 

@@ -66,10 +66,7 @@ class _ReencodeOnly(ModelInterface):
 
 def _run_engine(model, utt, config):
     """Drive an engine chunk by chunk; keep what detection saw per READ."""
-    engine = SimulEngine(
-        model, config, frame_ms=10,
-        max_target_words=default_max_target_words(utt),
-    )
+    engine = SimulEngine(model, config, frame_ms=10)
     detected = []
     for chunk in segment_stream(utt, config.step_ms):
         if engine.done:
@@ -130,6 +127,7 @@ def test_incremental_engine_equals_reencoding_every_read(case):
         k=case["k"],
         detection=case["detection"],
         step_ms=case["step_ms"],
+        max_target_words=default_max_target_words(utt),
         source_convention=case["source_convention"],
     )
     incremental = _run_engine(model, utt, config)

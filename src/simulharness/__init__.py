@@ -68,7 +68,6 @@ from .model import (
     ModelInterface,
     build_synthetic_utterance,
     load_model_config,
-    offline_greedy_translate,
     synthetic_corpus,
     waitk_attention_mask,
 )
@@ -80,6 +79,7 @@ from .policy import (
     SimulRunError,
     SimulState,
     decide,
+    offline_greedy_translate,
     read_event_log,
     run_simultaneous,
     write_event_log,

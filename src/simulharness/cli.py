@@ -4,7 +4,7 @@ Subcommands::
 
     eval         run one policy setting over a manifest, write metrics + logs
     sweep        trace a quality/latency curve over a (strategy, k) grid
-    offline      full-sentence greedy translation, the quality ceiling
+    offline      the engine at wait-∞ over one chunk, the quality ceiling
     serve        host the streaming engine behind the TCP wire protocol
     remote-eval  evaluate a manifest against a running server
     make-demo    write a self-contained toy manifest and model config
@@ -35,13 +35,8 @@ from .harness import (
     sweep as sweep_grid,
     write_eval_outputs,
 )
-from .model import (
-    LexiconMockModel,
-    load_model_config,
-    offline_greedy_translate,
-    synthetic_corpus,
-)
-from .policy import PolicyConfig, SimulRunError
+from .model import LexiconMockModel, load_model_config, synthetic_corpus
+from .policy import PolicyConfig, SimulRunError, offline_greedy_translate
 from .service import StreamTranslationServer, client_evaluate
 
 logger = logging.getLogger(__name__)
@@ -287,8 +282,8 @@ def sweep_command(
               help="Line-delimited JSON corpus manifest.")
 @click.option("--model-config", "model_path", required=True, type=_PATH_IN,
               help="JSON model configuration.")
-@click.option("--max-target-words", type=int, default=None,
-              help="Hard cap on emitted words "
+@click.option("--max-target-words", type=click.IntRange(min=1),
+              default=None, help="Hard cap on emitted words "
               "(default: a per-utterance heuristic).")
 @click.option("--out", "out_path", type=click.Path(dir_okay=False,
               path_type=Path), default=None,
@@ -299,7 +294,8 @@ def offline_command(
     max_target_words: int | None,
     out_path: Path | None,
 ) -> None:
-    """Translate with the whole source visible -- the quality ceiling."""
+    """Run the engine at wait-∞ over one chunk per utterance: the whole
+    source is read before any word is written -- the quality ceiling."""
     utterances = _load_utterances(manifest_path)
     model = _load_model(model_path)
 

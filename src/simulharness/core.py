@@ -85,8 +85,7 @@ class Utterance:
             object.__setattr__(
                 self, "word_end_frames", tuple(self.word_end_frames)
             )
-        if self.frame_ms <= 0:
-            raise ValueError("frame_ms must be positive")
+        check_frame_ms(self.frame_ms)
         if len({len(f.features) for f in self.frames}) > 1:
             raise ValueError(
                 "all frames in an utterance must share a feature dimension"
@@ -132,6 +131,15 @@ class Hypothesis:
             == len(self.wall_delays_ms)
         ):
             raise ValueError("one delay pair is required per emitted word")
+
+
+def check_frame_ms(frame_ms: object) -> int:
+    """``frame_ms`` if it is a positive ``int`` (a ``bool`` is not one)."""
+    if type(frame_ms) is not int or frame_ms <= 0:
+        raise ValueError(
+            f"frame_ms must be positive integer milliseconds, got {frame_ms!r}"
+        )
+    return frame_ms
 
 
 def default_max_target_words(utterance: Utterance | None = None) -> int:
@@ -383,12 +391,13 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
                     f"duplicate id {utt_id!r} at line {lineno}"
                 )
             seen.add(utt_id)
-            frame_ms = record["frame_ms"]
-            if not isinstance(frame_ms, int) or frame_ms <= 0:
+            try:
+                frame_ms = check_frame_ms(record["frame_ms"])
+            except ValueError:
                 raise ManifestError(
                     f"field 'frame_ms' must be a positive integer "
                     f"at line {lineno}"
-                )
+                ) from None
             raw_frames = record["frames"]
             if isinstance(raw_frames, str):
                 frames_path = path.parent / raw_frames

@@ -8,7 +8,6 @@ Local, remote and offline runs are all scored by the same two functions:
 from __future__ import annotations
 
 import csv
-import json
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,7 +24,8 @@ from .metrics import (
     latency_regime,
 )
 from .model import ModelInterface
-from .policy import Event, PolicyConfig, SimulRunError, run_simultaneous
+from .policy import Event, PolicyConfig, SimulRunError
+from .policy import run_simultaneous, write_event_log
 
 logger = logging.getLogger(__name__)
 
@@ -297,10 +297,6 @@ def write_eval_outputs(
         corpus_result.report.to_json() + "\n", encoding="utf-8"
     )
     for result in corpus_result.results:
-        with open(
-            logs_dir / f"{result.utt_id}.jsonl", "w", encoding="utf-8"
-        ) as handle:
-            for event in result.events:
-                handle.write(event.to_json() + "\n")
-            if result.error is not None:
-                handle.write(json.dumps({"error": result.error}) + "\n")
+        write_event_log(
+            logs_dir / f"{result.utt_id}.jsonl", result.events, result.error
+        )

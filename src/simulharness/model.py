@@ -32,17 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    Convention,
-    Frame,
-    Hypothesis,
-    SubwordToken,
-    Utterance,
-    default_max_target_words,
-    extend_word_spans,
-    subword_tokens,
-    word_spans,
-)
+from .core import Convention, Frame, Utterance, subword_tokens
 from .detection import CtcPosterior
 
 #: Feature amplitude marking the final frame of a word (interior frames
@@ -52,9 +42,6 @@ _BOUNDARY_THRESHOLD = 1.5
 
 EOS_SURFACE = "</s>"
 BLANK_SURFACE = "<blank>"
-
-#: Hard ceiling on decoder steps per word, guarding non-terminating decoders.
-MAX_TOKENS_PER_WORD = 256
 
 
 class ModelInterface(ABC):
@@ -507,51 +494,3 @@ def synthetic_corpus(
         )
     return corpus
 
-
-# ---------------------------------------------------------------------------
-# Offline decoding
-# ---------------------------------------------------------------------------
-
-
-def offline_greedy_translate(
-    model: ModelInterface,
-    utterance: Utterance,
-    *,
-    max_target_words: int | None = None,
-) -> Hypothesis:
-    """Translate with the whole source visible (greedy argmax to EOS).
-
-    Every word's delay is the full source duration -- the offline system
-    waits for everything before speaking.
-    """
-    cap = max_target_words or default_max_target_words(utterance)
-    states, _posterior = model.encode_prefix(utterance.frames)
-    convention = model.target_convention
-
-    ids: list[int] = []
-    tokens: list[SubwordToken] = []
-    spans: list[tuple[str, int]] = []
-    truncated = False
-    while True:
-        scores = model.decoder_step(states, ids)
-        next_id = int(np.argmax(scores))
-        if next_id == model.eos_id:
-            break
-        ids.append(next_id)
-        tokens.append(SubwordToken(model.target_vocab[next_id], convention))
-        extend_word_spans(spans, tokens, convention)
-        if len(spans) >= cap or len(ids) >= cap * 4 + MAX_TOKENS_PER_WORD:
-            truncated = True
-            # cut back to the last complete word so words == detok(tokens)
-            tokens = tokens[: spans[-1][1] + 1] if spans else []
-            break
-
-    words = [w for w, _ in word_spans(tokens, convention, eos=True)[0]]
-    duration = utterance.duration_ms
-    return Hypothesis(
-        tokens=tuple(tokens),
-        words=tuple(words),
-        ideal_delays_ms=(duration,) * len(words),
-        wall_delays_ms=(float(duration),) * len(words),
-        truncated=truncated,
-    )

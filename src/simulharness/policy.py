@@ -23,6 +23,9 @@ accepted: either the next-best non-EOS token is taken instead
 Substituting the next-best token helps adaptive detection but degrades the
 fixed schedule, so the substitution defaults on only for adaptive detection.
 After the source has finished, EOS terminates generation normally.
+
+Offline translation (:func:`offline_greedy_translate`) is this engine at
+wait-∞.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -42,6 +45,7 @@ from .core import (
     Hypothesis,
     SubwordToken,
     Utterance,
+    check_frame_ms,
     default_max_target_words,
     extend_word_spans,
     segment_stream,
@@ -54,12 +58,21 @@ from .detection import (
     EMPTY_DETECTION,
     fixed_word_count,
 )
-from .model import MAX_TOKENS_PER_WORD, ModelInterface
+from .model import ModelInterface
 
 logger = logging.getLogger(__name__)
 
 #: A lag long enough that any real source is exhausted before the first WRITE.
 WAIT_FOREVER = 10**9
+
+#: Hard ceiling on decoder steps per word, guarding non-terminating decoders.
+MAX_TOKENS_PER_WORD = 256
+
+#: the type each typed setting must have exactly (``bool`` is no ``int``)
+_FIELD_TYPES = {
+    "k": int, "step_ms": int, "avg_word_ms": int, "max_target_words": int,
+    "force_finish": bool, "avoid_eos_while_reading": bool,
+}
 
 
 class ActionKind(Enum):
@@ -74,8 +87,8 @@ class PolicyConfig:
     ``avoid_eos_while_reading=None`` selects the per-detection default
     (on for adaptive, off for fixed); see :meth:`effective_avoid_eos`.
     ``max_target_words=None`` leaves the safety cap to
-    :func:`~simulharness.core.default_max_target_words`, which the runner
-    and the wire client resolve per utterance before an engine starts.
+    :func:`~simulharness.core.default_max_target_words`, which
+    :meth:`for_utterance` resolves before an engine starts.
     """
 
     k: int = 3
@@ -94,6 +107,13 @@ class PolicyConfig:
             object.__setattr__(
                 self, "source_convention", Convention(self.source_convention)
             )
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            optional = self.__dataclass_fields__[name].default is None
+            if type(value) is not kind and not (optional and value is None):
+                raise ValueError(
+                    f"{name} must be {kind.__name__}, got {value!r}"
+                )
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.step_ms <= 0:
@@ -103,6 +123,12 @@ class PolicyConfig:
         if self.max_target_words is not None and self.max_target_words < 1:
             raise ValueError("max_target_words must be at least 1")
 
+    def for_utterance(self, utterance: Utterance) -> "PolicyConfig":
+        """This config with the word cap resolved for ``utterance``."""
+        return replace(self, max_target_words=(
+            self.max_target_words or default_max_target_words(utterance)
+        ))
+
     @property
     def effective_avoid_eos(self) -> bool:
         if self.avoid_eos_while_reading is not None:
@@ -111,13 +137,8 @@ class PolicyConfig:
 
     def to_dict(self) -> dict:
         return {
-            "k": self.k,
+            **asdict(self),
             "detection": self.detection.value,
-            "step_ms": self.step_ms,
-            "avg_word_ms": self.avg_word_ms,
-            "force_finish": self.force_finish,
-            "avoid_eos_while_reading": self.avoid_eos_while_reading,
-            "max_target_words": self.max_target_words,
             "source_convention": self.source_convention.value,
         }
 
@@ -153,15 +174,7 @@ class Event:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "payload": self.payload,
-            "ideal_ms": self.ideal_ms,
-            "wall_ms": self.wall_ms,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+        return {**asdict(self), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Event":
@@ -171,10 +184,6 @@ class Event:
             ideal_ms=int(data["ideal_ms"]),
             wall_ms=float(data["wall_ms"]),
         )
-
-    @classmethod
-    def from_json(cls, line: str) -> "Event":
-        return cls.from_dict(json.loads(line))
 
 
 @dataclass(frozen=True)
@@ -232,9 +241,7 @@ class SimulEngine:
         *,
         frame_ms: int = 10,
     ) -> None:
-        if frame_ms <= 0:
-            raise ValueError("frame_ms must be positive")
-        if config.step_ms % frame_ms:
+        if config.step_ms % check_frame_ms(frame_ms):
             raise ValueError(
                 f"step_ms={config.step_ms} is not a multiple of the "
                 f"{frame_ms} ms frame duration"
@@ -452,13 +459,9 @@ def run_simultaneous(
     exception the model raised.
     """
     chunks = segment_stream(utterance, config.step_ms)
-    config = replace(
-        config,
-        max_target_words=(
-            config.max_target_words or default_max_target_words(utterance)
-        ),
+    engine = SimulEngine(
+        model, config.for_utterance(utterance), frame_ms=utterance.frame_ms
     )
-    engine = SimulEngine(model, config, frame_ms=utterance.frame_ms)
     try:
         for chunk in chunks:
             if engine.done:
@@ -471,13 +474,46 @@ def run_simultaneous(
     return engine.result()
 
 
-def write_event_log(path, events: Sequence[Event]) -> None:
-    """Write an action log as one JSON object per line."""
+def offline_greedy_translate(
+    model: ModelInterface,
+    utterance: Utterance,
+    *,
+    max_target_words: int | None = None,
+) -> Hypothesis:
+    """Translate with the whole source visible: the engine at wait-∞.
+
+    The utterance is read as one chunk before the first WRITE, so every
+    word's ideal delay is the full duration; the wall delays add the model
+    compute, as in any run.  Raises :class:`SimulRunError` on any failure.
+    """
+    chunk_ms = max(utterance.duration_ms, utterance.frame_ms)
+    config = PolicyConfig(
+        k=WAIT_FOREVER, step_ms=chunk_ms, avg_word_ms=chunk_ms,
+        max_target_words=max_target_words,
+    )
+    return run_simultaneous(model, utterance, config)[0]
+
+
+def write_event_log(
+    path, events: Sequence[Event], error: str | None = None
+) -> None:
+    """Write an action log as one JSON object per line; the log of a failed
+    run ends with an ``{"error": ...}`` record."""
     with open(path, "w", encoding="utf-8") as handle:
         for event in events:
-            handle.write(event.to_json() + "\n")
+            handle.write(json.dumps(event.to_dict()) + "\n")
+        if error is not None:
+            handle.write(json.dumps({"error": error}) + "\n")
 
 
 def read_event_log(path) -> list[Event]:
+    """Read a log written by :func:`write_event_log`; one that ends in an
+    error record raises :class:`SimulRunError` with the events before it."""
+    events: list[Event] = []
     with open(path, "r", encoding="utf-8") as handle:
-        return [Event.from_json(line) for line in handle if line.strip()]
+        for line in filter(str.strip, handle):
+            record = json.loads(line)
+            if "error" in record:
+                raise SimulRunError(record["error"], events)
+            events.append(Event.from_dict(record))
+    return events

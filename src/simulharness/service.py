@@ -13,11 +13,12 @@ Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms`` (each side stamps its own
 clock, milliseconds since its start of session; the other field is null).
 
-Timing semantics: with as-fast-as-possible pacing the WORD messages carry the
-engine's source-time delays, so ideal latency metrics reproduce a local run
-exactly; the client's wall reading collapses onto the ideal one.  Honest
-computation-aware readings over the wire require real-time pacing, where the
-client forwards chunks on the source's own clock.
+Timing: WORD messages carry the engine's source-time delays, so ideal
+latency metrics reproduce a local run exactly.  The computation-aware ones do
+not yet, under either pacing: the client sends chunk *i* at the start of its
+span and clamps each wall delay to at least the ideal one, so compute shorter
+than a step vanishes (remote AL_CA has read equal to AL where a local run
+read higher).  Mending this waits on item 3a of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -29,11 +30,11 @@ import socketserver
 import threading
 import time
 import uuid
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
-from .core import decode_json, default_max_target_words, segment_stream
+from .core import decode_json, segment_stream
 from .harness import CorpusResult, evaluate_utterance, score_results
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine
@@ -182,7 +183,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         engine = SimulEngine(
                             self.server.model,
                             config,
-                            frame_ms=int(payload.get("frame_ms", 10)),
+                            frame_ms=payload.get("frame_ms", 10),
                         )
                     except Exception as exc:
                         fail(f"config: {exc}")
@@ -306,12 +307,7 @@ def stream_utterance(
     _check_pacing(pacing)
     chunks = segment_stream(utterance, config.step_ms)
     session = f"{utterance.id}-{uuid.uuid4().hex[:8]}"
-    config = replace(
-        config,
-        max_target_words=(
-            config.max_target_words or default_max_target_words(utterance)
-        ),
-    )
+    config = config.for_utterance(utterance)
 
     received: list[tuple[WireMessage, float]] = []
     reader_error: list[str] = []

@@ -11,12 +11,16 @@ import math
 from collections import Counter
 from typing import Sequence
 
+import numpy as np
+
 from simulharness import (
     Convention,
     LexiconMockModel,
+    ModelInterface,
     SubwordToken,
     Utterance,
     build_synthetic_utterance,
+    words_from_subwords,
 )
 
 #: 1:1 lexicon over six words; sorted() of the keys is stable and obvious.
@@ -100,6 +104,32 @@ def expected_waitk_delays(
         min((k + i - 1) * per_word_ms, total)
         for i in range(1, n_target_words + 1)
     ]
+
+
+# ---------------------------------------------------------------------------
+# Independent offline oracle (whole-source argmax to EOS)
+# ---------------------------------------------------------------------------
+
+
+def oracle_offline(
+    model: ModelInterface, utterance: Utterance
+) -> tuple[tuple[SubwordToken, ...], tuple[str, ...]]:
+    """Tokens and words of greedy decoding with the whole source encoded at
+    once: argmax until EOS, with no engine, chunking or caps (so only for
+    models that terminate)."""
+    states, _posterior = model.encode_prefix(utterance.frames)
+    ids: list[int] = []
+    while True:
+        next_id = int(np.argmax(model.decoder_step(states, ids)))
+        if next_id == model.eos_id:
+            break
+        ids.append(next_id)
+    convention = model.target_convention
+    tokens = tuple(
+        SubwordToken(model.target_vocab[i], convention) for i in ids
+    )
+    words, _ = words_from_subwords(tokens, convention, eos=True)
+    return tokens, tuple(words)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from helpers import (
     expected_waitk_delays,
     make_model,
     oracle_bleu,
+    oracle_offline,
 )
 from simulharness import (
     Convention,
@@ -104,6 +105,9 @@ def test_criterion_02_wait_forever_equals_offline():
             offline = offline_greedy_translate(model, utt)
             assert streamed.tokens == offline.tokens
             assert streamed.words == offline.words
+            assert (streamed.tokens, streamed.words) == oracle_offline(
+                model, utt
+            )
             duration = float(utt.duration_ms)
             assert all(d == duration for d in streamed.ideal_delays_ms)
             delays = DelaySequence(

@@ -158,6 +158,15 @@ def test_offline_command_scores_and_dumps(demo, tmp_path):
     assert all(r["words"] and r["tokens"] for r in records)
 
 
+def test_offline_command_rejects_a_zero_word_cap(demo):
+    result = _run(
+        "offline", "--manifest", demo / "manifest.jsonl",
+        "--model-config", demo / "model.json", "--max-target-words", 0,
+    )
+    assert result.exit_code == 2
+    assert "--max-target-words" in _all_output(result)
+
+
 def test_offline_command_isolates_any_model_exception(tmp_path, monkeypatch):
     model = DecoderFailsOnHaus()
     manifest = tmp_path / "manifest.jsonl"
@@ -221,6 +230,7 @@ def test_remote_eval_against_a_served_model(demo, tmp_path):
     finally:
         proc.terminate()
         proc.wait(timeout=10)
+        proc.stdout.close()
 
 
 def test_remote_eval_unreachable_server_exits_1(demo, tmp_path):

@@ -308,6 +308,39 @@ def test_load_manifest_error_messages(tmp_path, lines, message):
         load_manifest(path)
 
 
+def test_load_manifest_rejects_a_bool_frame_ms(tmp_path):
+    # True is an int to Python; taken as one it would mean 1 ms frames
+    path = _write_manifest(tmp_path, [_record(), _record("u2", frame_ms=True)])
+    with pytest.raises(ManifestError, match="'frame_ms' .* at line 2"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize(
+    "record, side_file, message",
+    [
+        ('["u2"]', None, "expected an object at line 2"),
+        (_record(""), None, "'id' must be a non-empty string at line 2"),
+        (_record(7), None, "'id' must be a non-empty string at line 2"),
+        (_record("u2", frames="f.json"), "[[0.0,",
+         "malformed frames file 'f.json' at line 2"),
+        (_record("u2", frames={"path": "f.npy"}), None,
+         "'frames' must be an array of feature rows at line 2"),
+        (_record("u2", frames=[[0.0, "loud"]]), None,
+         "bad frame row at line 2"),
+        (_record("u2", frames=[[0.0, 1.0], [0.0]]), None,
+         "share a feature dimension at line 2"),
+    ],
+)
+def test_load_manifest_names_the_line_of_a_bad_record(
+    tmp_path, record, side_file, message
+):
+    if side_file is not None:
+        (tmp_path / "f.json").write_text(side_file, encoding="utf-8")
+    path = _write_manifest(tmp_path, [_record(), record])
+    with pytest.raises(ManifestError, match=message):
+        load_manifest(path)
+
+
 def test_subword_token_is_hashable_value_object():
     assert bpe("a") == SubwordToken("a", Convention.BPE_SUFFIX)
     assert len({bpe("a"), bpe("a"), sp("a")}) == 2

@@ -12,6 +12,7 @@ from helpers import (
     make_model,
 )
 from simulharness import (
+    ActionKind,
     CurvePoint,
     DelaySequence,
     DetectionKind,
@@ -269,3 +270,16 @@ def test_write_eval_outputs_layout(tmp_path):
         .read_text(encoding="utf-8").splitlines()
     )
     assert json.loads(broken_lines[-1])["error"] == corpus.results[2].error
+
+
+def test_the_log_of_a_failed_utterance_reads_back(tmp_path):
+    model = DecoderFailsOnHaus()
+    utt = aligned_utterance(model, ["da", "esel", "haus"], utt_id="broken")
+    corpus = evaluate_corpus([utt], model, PolicyConfig(k=1))
+    (result,) = corpus.results
+    assert result.error == "decoder table out of range"
+    assert any(e.kind is ActionKind.WRITE for e in result.events)
+    write_eval_outputs(tmp_path, corpus)
+    with pytest.raises(SimulRunError, match="decoder table") as info:
+        read_event_log(tmp_path / "logs" / "broken.jsonl")
+    assert info.value.events == result.events

@@ -19,12 +19,15 @@ from simulharness import (
     AttentionMask,
     Convention,
     LexiconMockModel,
+    PolicyConfig,
     build_synthetic_utterance,
     load_model_config,
     offline_greedy_translate,
+    run_simultaneous,
     synthetic_corpus,
     waitk_attention_mask,
 )
+from simulharness.policy import MAX_TOKENS_PER_WORD, WAIT_FOREVER
 
 # ---------------------------------------------------------------------------
 # Mock model vocabulary and calls
@@ -268,7 +271,7 @@ def test_offline_translation_is_the_lexicon_map():
     assert list(hyp.words) == model.translate_words(words)
     assert hyp.truncated is False
     assert all(d == utt.duration_ms for d in hyp.ideal_delays_ms)
-    assert all(d == float(utt.duration_ms) for d in hyp.wall_delays_ms)
+    assert all(d >= float(utt.duration_ms) for d in hyp.wall_delays_ms)
 
 
 @pytest.mark.parametrize("convention", [Convention.BPE_SUFFIX,
@@ -279,6 +282,37 @@ def test_offline_translation_multi_piece_targets(convention):
     hyp = offline_greedy_translate(model, utt)
     assert list(hyp.words) == ["donkey", "house"]
     assert len(hyp.tokens) == 6  # don-key-... split into 2-char pieces
+
+
+def test_offline_translation_is_the_engine_at_wait_forever():
+    # a 300-piece word runs into the engine's per-word token cap
+    model = make_model({"da": "x" * 300, "ja": "yes"}, target_piece_len=1)
+    utt = aligned_utterance(model, ["da", "ja"])
+    offline = offline_greedy_translate(model, utt)
+    streamed, _ = run_simultaneous(model, utt, PolicyConfig(k=WAIT_FOREVER))
+    assert offline.tokens == streamed.tokens
+    assert offline.words == streamed.words == ("x" * MAX_TOKENS_PER_WORD,)
+    assert offline.truncated is streamed.truncated is True
+    assert offline.ideal_delays_ms == streamed.ideal_delays_ms
+
+
+def test_offline_wall_delays_charge_model_compute():
+    model = make_model(compute_delay_ms=5)
+    utt = aligned_utterance(model, ["da", "esel", "geht"])
+    hyp = offline_greedy_translate(model, utt)
+    assert list(hyp.words) == ["there", "donkey", "goes"]
+    assert all(d > utt.duration_ms for d in hyp.wall_delays_ms)
+
+
+@pytest.mark.parametrize("words, frame_ms", [([], 10), (["da", "esel"], 400)])
+def test_offline_translation_reads_any_utterance_as_one_chunk(words, frame_ms):
+    # no step setting applies: empty sources and frames longer than the
+    # default 280 ms step translate too
+    model = make_model()
+    utt = aligned_utterance(model, words, per_word_ms=800, frame_ms=frame_ms)
+    hyp = offline_greedy_translate(model, utt)
+    assert list(hyp.words) == model.translate_words(words)
+    assert all(d == utt.duration_ms for d in hyp.ideal_delays_ms)
 
 
 def test_offline_translation_word_cap_trims_to_complete_words():

@@ -10,6 +10,7 @@ from helpers import (
     aligned_utterance,
     expected_waitk_delays,
     make_model,
+    oracle_offline,
 )
 from simulharness import (
     ActionKind,
@@ -45,6 +46,20 @@ def test_policy_config_coerces_strings_and_validates():
         PolicyConfig(step_ms=0)
     with pytest.raises(ValueError, match="max_target_words"):
         PolicyConfig(max_target_words=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("k", 3.5), ("k", True), ("step_ms", 280.0), ("avg_word_ms", "280"),
+        ("max_target_words", 1.5), ("max_target_words", False),
+        ("force_finish", "no"), ("force_finish", 1),
+        ("avoid_eos_while_reading", 0),
+    ],
+)
+def test_policy_config_rejects_settings_of_the_wrong_type(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        PolicyConfig(**{field: value})
 
 
 def test_policy_config_avoid_eos_resolution():
@@ -382,3 +397,4 @@ def test_wait_forever_reads_everything_first():
     assert hyp.tokens == offline.tokens
     assert hyp.words == offline.words
     assert all(d == utt.duration_ms for d in hyp.ideal_delays_ms)
+    assert (hyp.tokens, hyp.words) == oracle_offline(model, utt)

@@ -228,6 +228,33 @@ def test_protocol_violations_get_an_error_reply(server, lines, complaint):
     assert replies[-1].payload["message"].startswith(complaint)
 
 
+@pytest.mark.parametrize(
+    "hello, complaint",
+    [
+        (_hello(k=3.5), "config: k must be int"),
+        (_hello(k=True), "config: k must be int"),
+        (_hello(config={"force_finish": "no"}), "config: force_finish"),
+        (_hello(config={"max_target_words": 1.5}), "config: max_target_words"),
+        (_hello(frame_ms=10.9), "config: frame_ms must be positive integer"),
+        (_hello(frame_ms=True), "config: frame_ms must be positive integer"),
+    ],
+    ids=["k-float", "k-bool", "force_finish-str", "max_target_words-float",
+         "frame_ms-float", "frame_ms-bool"],
+)
+def test_settings_of_the_wrong_type_get_a_config_error(
+    server, hello, complaint
+):
+    model = make_model()
+    lines = [
+        hello,
+        _msg("CHUNK", payload={"frames": _chunk_rows(model, ["da"])}),
+        _msg("EOS_SRC"),
+    ]
+    replies = _exchange(server.address, lines)
+    assert [m.kind for m in replies] == ["ERROR"]
+    assert replies[0].payload["message"].startswith(complaint)
+
+
 def test_garbage_line_is_reported_as_malformed(server):
     with socket.create_connection(server.address, timeout=10) as sock:
         wire = sock.makefile("rwb")
@@ -375,6 +402,38 @@ def test_client_evaluate_records_a_malformed_reply_per_utterance():
         stub.server_close()
     assert corpus.failures == ("u0", "u1", "u2")
     assert all(r.hypothesis is None for r in corpus.results)
+    assert corpus.report.n_utts == 0
+
+
+class _HangUpAfterHelloHandler(socketserver.StreamRequestHandler):
+    """A broken server: reads HELLO, then closes its side unanswered."""
+
+    def handle(self):
+        self.rfile.readline()
+        self.connection.shutdown(socket.SHUT_WR)
+        for _ in self.rfile:  # let the client finish sending
+            pass
+
+
+def test_client_evaluate_records_a_server_that_hangs_up_after_hello():
+    model = make_model()
+    utts = [aligned_utterance(model, ["da"], utt_id=f"u{i}") for i in range(2)]
+    stub = socketserver.ThreadingTCPServer(
+        ("127.0.0.1", 0), _HangUpAfterHelloHandler
+    )
+    stub.daemon_threads = True
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        corpus = client_evaluate(
+            stub.server_address, utts, PolicyConfig(k=1), timeout_s=10
+        )
+    finally:
+        stub.shutdown()
+        stub.server_close()
+    assert corpus.failures == ("u0", "u1")
+    assert all(
+        r.error == "connection closed before EOS_TGT" for r in corpus.results
+    )
     assert corpus.report.n_utts == 0
 
 

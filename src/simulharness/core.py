@@ -59,6 +59,15 @@ class Frame:
             )
 
 
+def frames_from_rows(rows: Sequence) -> tuple[Frame, ...]:
+    """Frames from feature rows, as a manifest or a ``CHUNK`` carries them.
+
+    A row that is not a sequence of numbers raises ``ValueError`` or
+    ``TypeError``.
+    """
+    return tuple(Frame(tuple(map(float, row))) for row in rows)
+
+
 @dataclass(frozen=True)
 class Utterance:
     """A source utterance: frames plus optional transcript and reference.
@@ -421,9 +430,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
                     f"at line {lineno}"
                 )
             try:
-                frames = tuple(
-                    Frame(tuple(float(x) for x in row)) for row in raw_frames
-                )
+                frames = frames_from_rows(raw_frames)
             except (TypeError, ValueError) as exc:
                 raise ManifestError(
                     f"bad frame row at line {lineno}: {exc}"

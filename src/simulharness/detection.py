@@ -15,11 +15,11 @@ new or changed and counts words from the last complete one on.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
-from operator import itemgetter, lt
+from itertools import repeat
+from operator import floordiv, itemgetter, lt
 from typing import Sequence
 
 import numpy as np
@@ -65,13 +65,18 @@ class CtcPosterior:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """How many complete source words are known, and where each one ended."""
+    """How many complete source words are known, and where each one ended.
+
+    The public constructor checks every end frame.  A detector on a stream
+    instead extends its previous result with :meth:`_extended`, which checks
+    only the ends it adds, so a READ costs what it adds; the ends a detector
+    generates by formula are not checked again (:meth:`_unchecked`).
+    """
 
     word_count: int
     word_end_frames: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        # map/min/all keep the checks cheap: a stream rebuilds this per READ
         ends = tuple(map(int, self.word_end_frames))
         object.__setattr__(self, "word_end_frames", ends)
         if self.word_count != len(ends):
@@ -80,6 +85,25 @@ class DetectionResult:
             raise ValueError("word_end_frames must be non-negative")
         if not all(map(lt, ends, ends[1:])):
             raise ValueError("word_end_frames must be strictly increasing")
+
+    @classmethod
+    def _unchecked(cls, ends: tuple[int, ...]) -> "DetectionResult":
+        """Wrap a tuple of valid ``int`` end frames without checking it."""
+        result = object.__new__(cls)
+        object.__setattr__(result, "word_count", len(ends))
+        object.__setattr__(result, "word_end_frames", ends)
+        return result
+
+    def _extended(self, keep: int, tail: Sequence[int]) -> "DetectionResult":
+        """The first ``keep`` words of this result followed by words ending
+        at ``tail``; only ``tail`` is checked."""
+        tail = tuple(tail)
+        floor = self.word_end_frames[keep - 1] if keep else -1
+        if not all(map(lt, (floor,) + tail, tail)):
+            raise ValueError(
+                "word_end_frames must be non-negative and strictly increasing"
+            )
+        return self._unchecked(self.word_end_frames[:keep] + tail)
 
 
 EMPTY_DETECTION = DetectionResult(0, ())
@@ -103,10 +127,18 @@ def fixed_word_count(
     if elapsed_ms < 0:
         raise ValueError("elapsed_ms must be non-negative")
     count = int(elapsed_ms // avg_word_ms)
-    ends = tuple(
-        math.ceil(avg_word_ms * (i + 1) / frame_ms) - 1 for i in range(count)
-    )
-    return DetectionResult(count, ends)
+    # the frame containing instant t = i * avg_word_ms is ceil(t / frame_ms)
+    # - 1 = (t - 1) // frame_ms, strictly increasing as avg_word_ms >= frame_ms
+    if avg_word_ms % frame_ms == 0:
+        per_word = avg_word_ms // frame_ms
+        ends = range(per_word - 1, per_word * count, per_word)
+    else:
+        ends = map(
+            floordiv,
+            range(avg_word_ms - 1, avg_word_ms * count, avg_word_ms),
+            repeat(frame_ms),
+        )
+    return DetectionResult._unchecked(tuple(ends))
 
 
 def ctc_greedy_collapse(
@@ -162,9 +194,10 @@ class AdaptiveDetector:
     before ``first`` are final.  It collapses just those rows with
     :func:`ctc_greedy_collapse`, merges the run that straddles ``first``, and
     runs :func:`adaptive_word_count` from the first token after the last
-    complete word.  After every update :attr:`collapsed` equals
-    ``ctc_greedy_collapse`` over all rows so far, and the result equals
-    ``adaptive_word_count`` over that.
+    complete word.  The result keeps the end frames of the words whose
+    tokens did not change and appends the rest, checking only those.
+    After every update :attr:`collapsed` equals ``ctc_greedy_collapse`` over
+    all rows so far, and the result equals ``adaptive_word_count`` over that.
     """
 
     def __init__(self, convention: Convention) -> None:
@@ -181,12 +214,12 @@ class AdaptiveDetector:
             raise ValueError("a posterior must not skip frames")
         blank = posterior.blank_id
         collapsed = self.collapsed
-        changed = bool(collapsed) and collapsed[-1][1] >= first
         # forget the runs of rows from ``first`` on, cutting the one that
         # straddles ``first`` back to its part before it
         del self._path[first:]
         while collapsed and collapsed[-1][1] >= first:
             collapsed.pop()
+        unchanged = len(collapsed)  # tokens before this index stay as they are
         last = self._path[-1] if self._path else blank
         if last != blank and (not collapsed or collapsed[-1][1] < first - 1):
             token = SubwordToken(posterior.vocab[last], self._convention)
@@ -202,7 +235,7 @@ class AdaptiveDetector:
             if path[0] == last != blank:
                 # the run goes on: its token now ends inside the new rows
                 collapsed.pop()
-                changed = True
+                unchanged = min(unchanged, len(collapsed))
             collapsed.extend(
                 (token, first + frame)
                 for token, frame in ctc_greedy_collapse(
@@ -211,17 +244,16 @@ class AdaptiveDetector:
             )
             self._path.extend(path)
 
+        # the words whose last token is unchanged keep their end frames
+        keep = bisect_left(self._words, unchanged)
         start = self._words[-1] + 1 if self._words else 0
         found = adaptive_word_count(collapsed[start:], self._convention)
         self._words.extend(
             bisect_left(collapsed, end, lo=start, key=itemgetter(1))
             for end in found.word_end_frames
         )
-        if changed:
-            ends = tuple(collapsed[i][1] for i in self._words)
-        elif found.word_count:
-            ends = self._result.word_end_frames + found.word_end_frames
-        else:
-            return self._result
-        self._result = DetectionResult(len(self._words), ends)
+        if keep < self._result.word_count or found.word_count:
+            self._result = self._result._extended(
+                keep, [collapsed[i][1] for i in self._words[keep:]]
+            )
         return self._result

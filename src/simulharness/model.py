@@ -23,10 +23,13 @@ encodes only the frames a chunk adds.
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -143,11 +146,32 @@ class LexiconMockModel(ModelInterface):
             if not targets:
                 raise ValueError(f"lexicon entry {source!r} maps to no words")
             self._lexicon[source] = targets
+        # exact types, as PolicyConfig checks them: a bool is no number
+        if type(eos_early) is not bool:
+            raise ValueError(f"eos_early must be bool, got {eos_early!r}")
+        if target_piece_len is not None and (
+            type(target_piece_len) is not int or target_piece_len < 1
+        ):
+            raise ValueError(
+                "target_piece_len must be a positive int or None, "
+                f"got {target_piece_len!r}"
+            )
+        if (
+            isinstance(compute_delay_ms, bool)
+            or not isinstance(compute_delay_ms, (int, float))
+            or not 0 <= compute_delay_ms < math.inf
+        ):
+            raise ValueError(
+                "compute_delay_ms must be a finite non-negative number, "
+                f"got {compute_delay_ms!r}"
+            )
         self._target_convention = target_convention
-        self._eos_early = bool(eos_early)
+        self._eos_early = eos_early
         self._compute_delay_ms = float(compute_delay_ms)
 
         self._source_vocab = (BLANK_SURFACE,) + tuple(sorted(self._lexicon))
+        #: row i is the posterior row of a frame encoded as source id i
+        self._one_hot = np.eye(len(self._source_vocab))
         pieces = sorted(
             {
                 token.surface
@@ -219,26 +243,30 @@ class LexiconMockModel(ModelInterface):
     ) -> tuple[_MockStates, CtcPosterior]:
         self._sleep()
         vocab_size = len(self._source_vocab)
-        for frame in frames:
-            if len(frame.features) != vocab_size:
-                raise ValueError(
-                    f"feature dim {len(frame.features)} does not match the "
-                    f"source vocabulary size {vocab_size}"
-                )
-        features = np.array(
-            [frame.features for frame in frames], dtype=float
-        ).reshape(len(frames), vocab_size)
-        marked = features.max(axis=1) >= _BOUNDARY_THRESHOLD
-        ids = np.where(marked, features.argmax(axis=1), 0)
-        if np.any(marked & (ids == 0)):
+        rows = list(map(attrgetter("features"), frames))
+        if set(map(len, rows)) - {vocab_size}:
+            width = next(n for n in map(len, rows) if n != vocab_size)
+            raise ValueError(
+                f"feature dim {width} does not match the "
+                f"source vocabulary size {vocab_size}"
+            )
+        features = np.fromiter(
+            chain.from_iterable(rows), float, len(rows) * vocab_size
+        ).reshape(len(rows), vocab_size)
+        # a row's peak is its max, NaN included (argmax finds the first NaN)
+        ids = features.argmax(axis=1)
+        marked = features[np.arange(len(rows)), ids] >= _BOUNDARY_THRESHOLD
+        heard = ids[marked].tolist()
+        if 0 in heard:
             raise ValueError("blank channel cannot carry a word")
-        rows = np.zeros((len(frames), vocab_size))
-        rows[np.arange(len(frames)), ids] = 1.0
-        visible = tuple(self._source_vocab[i] for i in ids[marked].tolist())
+        ids *= marked
+        visible = tuple(map(self._source_vocab.__getitem__, heard))
         target_ids = tuple(
             i for word in visible for i in self._target_ids[word]
         )
-        posterior = CtcPosterior(rows, self._source_vocab, blank_id=0)
+        posterior = CtcPosterior(
+            self._one_hot[ids], self._source_vocab, blank_id=0
+        )
         return _MockStates(visible, target_ids), posterior
 
     def encode_more(
@@ -278,8 +306,9 @@ def load_model_config(path: str | Path) -> LexiconMockModel:
     """Build a :class:`LexiconMockModel` from a JSON config file.
 
     Recognized keys: ``lexicon`` (required, word -> word or word list),
-    ``target_convention`` ("bpe" or "sp"), ``target_piece_len``,
-    ``eos_early``, ``compute_delay_ms``.
+    ``target_convention`` ("bpe" or "sp"), ``target_piece_len`` (a positive
+    integer or null), ``eos_early`` (a boolean), ``compute_delay_ms`` (a
+    non-negative number).  A value of the wrong type raises ``ValueError``.
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or "lexicon" not in data:
@@ -294,12 +323,26 @@ def load_model_config(path: str | Path) -> LexiconMockModel:
     unknown = set(data) - known
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
+    lexicon = data["lexicon"]
+    if not isinstance(lexicon, dict) or not all(
+        isinstance(t, str)
+        or isinstance(t, list) and all(isinstance(w, str) for w in t)
+        for t in lexicon.values()
+    ):
+        raise ValueError(
+            "lexicon must map each word to a word or a list of words"
+        )
+    convention = data.get("target_convention", "bpe")
+    if not isinstance(convention, str):
+        raise ValueError(
+            f"target_convention must be a string, got {convention!r}"
+        )
     return LexiconMockModel(
-        data["lexicon"],
-        target_convention=Convention(data.get("target_convention", "bpe")),
+        lexicon,
+        target_convention=Convention(convention),
         target_piece_len=data.get("target_piece_len"),
-        eos_early=bool(data.get("eos_early", False)),
-        compute_delay_ms=float(data.get("compute_delay_ms", 0.0)),
+        eos_early=data.get("eos_early", False),
+        compute_delay_ms=data.get("compute_delay_ms", 0.0),
     )
 
 

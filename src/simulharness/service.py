@@ -33,8 +33,8 @@ import uuid
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
-from .core import decode_json, segment_stream
+from .core import Convention, Hypothesis, SubwordToken, Utterance
+from .core import decode_json, frames_from_rows, segment_stream
 from .harness import CorpusResult, evaluate_utterance, score_results
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine
@@ -201,9 +201,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                         if not isinstance(rows, list) or not rows:
                             fail("protocol: CHUNK carries no frames")
                             return
-                        frames = [
-                            Frame(tuple(float(x) for x in row)) for row in rows
-                        ]
+                        try:
+                            frames = frames_from_rows(rows)
+                        except (TypeError, ValueError) as exc:
+                            fail(f"protocol: bad frame row: {exc}")
+                            return
                         send_words(engine.push_chunk(frames))
                         if engine.done:
                             # the model closed the target early

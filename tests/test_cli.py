@@ -167,6 +167,22 @@ def test_offline_command_rejects_a_zero_word_cap(demo):
     assert "--max-target-words" in _all_output(result)
 
 
+def test_offline_command_rejects_a_model_config_of_the_wrong_type(
+    demo, tmp_path
+):
+    config = json.loads((demo / "model.json").read_text(encoding="utf-8"))
+    model_path = tmp_path / "model.json"
+    model_path.write_text(
+        json.dumps({**config, "target_piece_len": 1.5}), encoding="utf-8"
+    )
+    result = _run(
+        "offline", "--manifest", demo / "manifest.jsonl",
+        "--model-config", model_path,
+    )
+    assert result.exit_code == 2, _all_output(result)
+    assert "target_piece_len must be" in _all_output(result)
+
+
 def test_offline_command_isolates_any_model_exception(tmp_path, monkeypatch):
     model = DecoderFailsOnHaus()
     manifest = tmp_path / "manifest.jsonl"

@@ -18,6 +18,7 @@ from simulharness import (
     BOUNDARY_GAIN,
     AttentionMask,
     Convention,
+    Frame,
     LexiconMockModel,
     PolicyConfig,
     build_synthetic_utterance,
@@ -134,6 +135,124 @@ def test_load_model_config(tmp_path):
     path.write_text(json.dumps({"no_lexicon": {}}), encoding="utf-8")
     with pytest.raises(ValueError, match="'lexicon'"):
         load_model_config(path)
+
+
+@pytest.mark.parametrize(
+    "setting, complaint",
+    [
+        ({"eos_early": "no"}, "eos_early must be bool"),
+        ({"eos_early": 1}, "eos_early must be bool"),
+        ({"target_piece_len": True}, "target_piece_len must be"),
+        ({"target_piece_len": 1.5}, "target_piece_len must be"),
+        ({"target_piece_len": 0}, "target_piece_len must be"),
+        ({"compute_delay_ms": "5"}, "compute_delay_ms must be"),
+        ({"compute_delay_ms": True}, "compute_delay_ms must be"),
+        ({"compute_delay_ms": -3}, "compute_delay_ms must be"),
+        ({"target_convention": 1}, "target_convention must be a string"),
+        ({"target_convention": "xyz"}, "'xyz' is not a valid Convention"),
+        ({"lexicon": ["a", "b"]}, "lexicon must map"),
+        ({"lexicon": {"a": 5}}, "lexicon must map"),
+    ],
+    ids=["eos_early-str", "eos_early-int", "piece_len-bool",
+         "piece_len-float", "piece_len-zero", "delay-str", "delay-bool",
+         "delay-negative", "convention-int", "convention-unknown",
+         "lexicon-list", "lexicon-int-target"],
+)
+def test_load_model_config_rejects_values_of_the_wrong_type(
+    tmp_path, setting, complaint
+):
+    path = tmp_path / "model.json"
+    path.write_text(
+        json.dumps({"lexicon": {"a": "b"}, **setting}), encoding="utf-8"
+    )
+    with pytest.raises(ValueError, match=complaint):
+        load_model_config(path)
+
+
+def test_load_model_config_keeps_values_of_the_right_type(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "lexicon": {"a": "bcd"},
+        "target_piece_len": None,
+        "eos_early": False,
+        "compute_delay_ms": 0,
+    }), encoding="utf-8")
+    assert load_model_config(path).target_vocab == ("</s>", "bcd")
+    path.write_text(json.dumps({
+        "lexicon": {"a": "bcd"}, "target_piece_len": 2,
+        "compute_delay_ms": 0.5,
+    }), encoding="utf-8")
+    assert load_model_config(path).target_vocab == ("</s>", "bc@@", "d")
+
+
+# ---------------------------------------------------------------------------
+# Encoding a chunk
+# ---------------------------------------------------------------------------
+
+
+def _features(model, *rows):
+    """Frames of the given rows; ``("word", gain)`` is a one-hot row."""
+    index = model.source_word_index
+    width = len(model.source_vocab)
+    frames = []
+    for row in rows:
+        if isinstance(row[0], str):
+            word, gain = row
+            row = [0.0] * width
+            row[index[word]] = gain
+        frames.append(Frame(tuple(row)))
+    return frames
+
+
+def test_encoder_names_the_first_row_of_the_wrong_width():
+    model = make_model()
+    width = len(model.source_vocab)
+    frames = _features(model, ("da", 1.0), [0.0] * (width + 2),
+                       [0.0] * (width - 1))
+    with pytest.raises(
+        ValueError,
+        match=f"feature dim {width + 2} does not match the source "
+              f"vocabulary size {width}",
+    ):
+        model.encode_prefix(frames)
+
+
+def test_encoder_rejects_a_marked_blank_channel():
+    model = make_model()
+    width = len(model.source_vocab)
+    frames = _features(model, ("da", BOUNDARY_GAIN),
+                       [BOUNDARY_GAIN] + [0.0] * (width - 1))
+    with pytest.raises(ValueError, match="blank channel cannot carry a word"):
+        model.encode_prefix(frames)
+
+
+def test_encoder_of_an_empty_prefix_is_an_empty_posterior():
+    model = make_model()
+    states, posterior = model.encode_prefix([])
+    assert posterior.scores.shape == (0, len(model.source_vocab))
+    assert states.visible_words == () and states.target_ids == ()
+
+
+def test_encoder_reads_nan_rows_as_blank_and_inf_as_a_peak():
+    model = make_model()
+    width = len(model.source_vocab)
+    nan, inf = float("nan"), float("inf")
+    marked_nan = [0.0] * width
+    marked_nan[model.source_word_index["ja"]] = BOUNDARY_GAIN
+    marked_nan[-1] = nan
+    frames = _features(
+        model,
+        ("da", BOUNDARY_GAIN),
+        [nan] * width,
+        marked_nan,
+        ("esel", inf),
+        ("geht", 1.0),
+    )
+    states, posterior = model.encode_prefix(frames)
+    path = np.argmax(posterior.scores, axis=1).tolist()
+    index = model.source_word_index
+    assert path == [index["da"], 0, 0, index["esel"], 0]
+    assert states.visible_words == ("da", "esel")
 
 
 # ---------------------------------------------------------------------------

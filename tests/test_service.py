@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import socket
 import socketserver
 import threading
@@ -293,6 +294,21 @@ def test_model_failure_is_reported_on_the_wire(server):
     replies = _exchange(server.address, lines)
     assert replies[-1].kind == "ERROR"
     assert replies[-1].payload["message"].startswith("model: ")
+
+
+def test_a_non_numeric_chunk_row_is_a_protocol_error(server, caplog):
+    model = make_model()
+    rows = _chunk_rows(model, ["da"])
+    rows[3] = rows[3][:-1] + ["loud"]
+    lines = [_hello(), _msg("CHUNK", payload={"frames": rows})]
+    with caplog.at_level(logging.WARNING, logger="simulharness.service"):
+        replies = _exchange(server.address, lines)
+    assert [m.kind for m in replies] == ["ERROR"]
+    message = replies[0].payload["message"]
+    assert message.startswith("protocol: bad frame row")
+    assert "'loud'" in message
+    # a client's fault is logged without a model traceback
+    assert not any(record.exc_info for record in caplog.records)
 
 
 def test_any_model_exception_ends_the_session_with_an_error():

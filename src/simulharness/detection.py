@@ -115,8 +115,14 @@ def fixed_word_count(
     """Count words by elapsed time at one word per ``avg_word_ms``.
 
     Word ``i`` (1-based) is assumed to end at time ``i * avg_word_ms``; the
-    reported end frame is the frame containing that instant.
+    reported end frame is the frame containing that instant.  Both
+    ``avg_word_ms`` and ``frame_ms`` must be ``int`` (a ``bool`` is not).
     """
+    # exact types, as PolicyConfig checks them: the end frames below are
+    # computed in integer arithmetic
+    for name, value in (("avg_word_ms", avg_word_ms), ("frame_ms", frame_ms)):
+        if type(value) is not int:
+            raise ValueError(f"{name} must be int, got {value!r}")
     if avg_word_ms <= 0:
         raise ValueError("avg_word_ms must be positive")
     if frame_ms <= 0:
@@ -129,15 +135,11 @@ def fixed_word_count(
     count = int(elapsed_ms // avg_word_ms)
     # the frame containing instant t = i * avg_word_ms is ceil(t / frame_ms)
     # - 1 = (t - 1) // frame_ms, strictly increasing as avg_word_ms >= frame_ms
-    if avg_word_ms % frame_ms == 0:
-        per_word = avg_word_ms // frame_ms
-        ends = range(per_word - 1, per_word * count, per_word)
-    else:
-        ends = map(
-            floordiv,
-            range(avg_word_ms - 1, avg_word_ms * count, avg_word_ms),
-            repeat(frame_ms),
-        )
+    ends = map(
+        floordiv,
+        range(avg_word_ms - 1, avg_word_ms * count, avg_word_ms),
+        repeat(frame_ms),
+    )
     return DetectionResult._unchecked(tuple(ends))
 
 

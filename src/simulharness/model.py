@@ -170,8 +170,6 @@ class LexiconMockModel(ModelInterface):
         self._compute_delay_ms = float(compute_delay_ms)
 
         self._source_vocab = (BLANK_SURFACE,) + tuple(sorted(self._lexicon))
-        #: row i is the posterior row of a frame encoded as source id i
-        self._one_hot = np.eye(len(self._source_vocab))
         pieces = sorted(
             {
                 token.surface
@@ -255,7 +253,8 @@ class LexiconMockModel(ModelInterface):
         ).reshape(len(rows), vocab_size)
         # a row's peak is its max, NaN included (argmax finds the first NaN)
         ids = features.argmax(axis=1)
-        marked = features[np.arange(len(rows)), ids] >= _BOUNDARY_THRESHOLD
+        index = np.arange(len(rows))
+        marked = features[index, ids] >= _BOUNDARY_THRESHOLD
         heard = ids[marked].tolist()
         if 0 in heard:
             raise ValueError("blank channel cannot carry a word")
@@ -264,9 +263,9 @@ class LexiconMockModel(ModelInterface):
         target_ids = tuple(
             i for word in visible for i in self._target_ids[word]
         )
-        posterior = CtcPosterior(
-            self._one_hot[ids], self._source_vocab, blank_id=0
-        )
+        one_hot = np.zeros((len(rows), vocab_size))
+        one_hot[index, ids] = 1.0
+        posterior = CtcPosterior(one_hot, self._source_vocab, blank_id=0)
         return _MockStates(visible, target_ids), posterior
 
     def encode_more(

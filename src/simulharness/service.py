@@ -316,14 +316,15 @@ def stream_utterance(
 
     with socket.create_connection(address, timeout=timeout_s) as sock:
         rfile = sock.makefile("rb")
-        wfile = sock.makefile("wb")
         started = time.perf_counter()
 
         def now_ms() -> float:
             return (time.perf_counter() - started) * 1000.0
 
         def transmit(kind: str, payload: object) -> None:
-            wfile.write(
+            # unbuffered: a send the server cuts off leaves nothing behind
+            # for a later flush into the dead socket
+            sock.sendall(
                 WireMessage(
                     kind=kind,
                     session=session,
@@ -331,7 +332,6 @@ def stream_utterance(
                     t_client_ms=now_ms(),
                 ).to_line()
             )
-            wfile.flush()
 
         def read_loop() -> None:
             try:

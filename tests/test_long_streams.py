@@ -26,6 +26,7 @@ from simulharness import (
     adaptive_word_count,
     build_synthetic_utterance,
     ctc_greedy_collapse,
+    fixed_word_count,
     segment_stream,
 )
 from simulharness.detection import AdaptiveDetector
@@ -89,6 +90,17 @@ def test_fixed_detection_at_every_read_equals_the_closed_form(
         oracle = _fixed_oracle(state.received_ms, avg_word_ms, frame_ms)
         assert state.detected == oracle
     assert reads == len(segment_stream(utterance, config.step_ms))
+
+
+@pytest.mark.parametrize("setting", [
+    {"avg_word_ms": 250.0}, {"avg_word_ms": True},
+    {"frame_ms": 40.0}, {"frame_ms": True},
+])
+def test_fixed_word_count_rejects_settings_that_are_not_int(setting):
+    # the end frames are integer arithmetic; a float must not reach range()
+    kwargs = {"avg_word_ms": 250, "frame_ms": 40} | setting
+    with pytest.raises(ValueError, match="must be int"):
+        fixed_word_count(500, **kwargs)
 
 
 def _stream_with_silences(model, n_words, seed):

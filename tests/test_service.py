@@ -2,11 +2,17 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import socket
 import socketserver
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
+
+import simulharness
 
 from helpers import (
     EXPANDING_LEXICON,
@@ -451,6 +457,58 @@ def test_client_evaluate_records_a_server_that_hangs_up_after_hello():
         r.error == "connection closed before EOS_TGT" for r in corpus.results
     )
     assert corpus.report.n_utts == 0
+
+
+class _ErrorAfterHelloHandler(socketserver.StreamRequestHandler):
+    """A server that answers HELLO with ERROR and closes, as the real one
+    does when a session fails, while the client is still sending."""
+
+    def handle(self):
+        hello = WireMessage.parse(self.rfile.readline())
+        reply = WireMessage("ERROR", hello.session, {"message": "model: no"})
+        self.wfile.write(reply.to_line())
+        self.wfile.flush()
+        # close with unread data pending: the kernel resets the connection
+        self.connection.setsockopt(
+            socket.SOL_SOCKET, socket.SO_LINGER, b"\x01\0\0\0\0\0\0\0"
+        )
+
+
+_CUT_SEND = """
+import socketserver, threading
+from helpers import aligned_utterance, make_model
+from simulharness import PolicyConfig, ServiceError, stream_utterance
+from test_service import _ErrorAfterHelloHandler
+
+stub = socketserver.ThreadingTCPServer(
+    ("127.0.0.1", 0), _ErrorAfterHelloHandler
+)
+stub.daemon_threads = True
+threading.Thread(target=stub.serve_forever, daemon=True).start()
+utt = aligned_utterance(make_model(), ["da", "esel"] * 200)
+try:
+    stream_utterance(
+        stub.server_address, utt, PolicyConfig(k=1, step_ms=10), timeout_s=10
+    )
+except ServiceError as exc:
+    print(exc)
+stub.shutdown()
+stub.server_close()
+"""
+
+
+def test_a_send_cut_by_the_server_leaves_no_unflushed_writer():
+    """The client stops sending on a broken pipe.  Nothing it wrote may be
+    left buffered for the collector to flush into the dead socket, which
+    development mode reports as an ignored ``BrokenPipeError``."""
+    paths = [Path(simulharness.__file__).parents[1], Path(__file__).parent]
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-c", _CUT_SEND],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths))),
+    )
+    assert proc.stdout.strip() == "remote error: model: no"
+    assert proc.stderr == ""
 
 
 def test_client_evaluate_rejects_unknown_pacing_before_any_session():

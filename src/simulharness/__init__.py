@@ -28,7 +28,6 @@ from .core import (
     segment_stream,
     subword_tokens,
     word_spans,
-    words_from_subwords,
 )
 from .detection import (
     AdaptiveDetector,
@@ -46,7 +45,6 @@ from .harness import (
     UtteranceResult,
     evaluate_corpus,
     read_curve_csv,
-    report_regimes,
     sweep,
     write_curve_csv,
     write_eval_outputs,
@@ -89,7 +87,6 @@ from .service import (
     StreamTranslationServer,
     WireMessage,
     client_evaluate,
-    serve,
     stream_utterance,
 )
 
@@ -148,10 +145,8 @@ __all__ = [
     "offline_greedy_translate",
     "read_curve_csv",
     "read_event_log",
-    "report_regimes",
     "run_simultaneous",
     "segment_stream",
-    "serve",
     "stream_utterance",
     "subword_tokens",
     "sweep",
@@ -159,7 +154,6 @@ __all__ = [
     "tokenize_13a",
     "waitk_attention_mask",
     "word_spans",
-    "words_from_subwords",
     "write_curve_csv",
     "write_eval_outputs",
     "write_event_log",

@@ -121,27 +121,12 @@ def _point_options(fn):
 _AVOID_EOS = {"auto": None, "on": True, "off": False}
 
 
-def _build_config(
-    *,
-    k: int,
-    detection: str,
-    step_ms: int,
-    avg_word_ms: int,
-    force_finish: bool,
-    avoid_eos: str,
-    max_target_words: int | None,
-    source_convention: str,
-) -> PolicyConfig:
+def _build_config(*, avoid_eos: str, **settings) -> PolicyConfig:
+    """The policy the flags set; each flag but ``--avoid-eos`` is named
+    after its ``PolicyConfig`` field."""
     try:
         return PolicyConfig(
-            k=k,
-            detection=detection,
-            step_ms=step_ms,
-            avg_word_ms=avg_word_ms,
-            force_finish=force_finish,
-            avoid_eos_while_reading=_AVOID_EOS[avoid_eos],
-            max_target_words=max_target_words,
-            source_convention=source_convention,
+            avoid_eos_while_reading=_AVOID_EOS[avoid_eos], **settings
         )
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc

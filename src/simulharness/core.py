@@ -12,6 +12,7 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 from typing import Sequence
 
@@ -59,13 +60,26 @@ class Frame:
             )
 
 
+_NUMBER_TYPES = frozenset({int, float})
+
+
 def frames_from_rows(rows: Sequence) -> tuple[Frame, ...]:
     """Frames from feature rows, as a manifest or a ``CHUNK`` carries them.
 
-    A row that is not a sequence of numbers raises ``ValueError`` or
-    ``TypeError``.
+    Every row must be a list of numbers, each an ``int`` or a ``float`` (a
+    ``bool`` is not a number here).  Anything else raises ``ValueError``
+    naming the first bad row.  The types of all rows and values are checked
+    at once, at C speed.
     """
-    return tuple(Frame(tuple(map(float, row))) for row in rows)
+    if not (set(map(type, rows)) <= {list}
+            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+        bad = next(row for row in rows if type(row) is not list
+                   or not set(map(type, row)) <= _NUMBER_TYPES)
+        raise ValueError(f"{bad!r} is not an array of numbers")
+    try:
+        return tuple(Frame(tuple(map(float, row))) for row in rows)
+    except OverflowError as exc:  # an int beyond the range of a float
+        raise ValueError(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -256,17 +270,6 @@ def extend_word_spans(
     return spans
 
 
-def words_from_subwords(
-    tokens: Sequence[SubwordToken],
-    convention: Convention | None = None,
-    *,
-    eos: bool = False,
-) -> tuple[list[str], bool]:
-    """Detokenize subwords into ``(complete_words, has_trailing_partial)``."""
-    spans, partial = word_spans(tokens, convention, eos=eos)
-    return [word for word, _ in spans], partial
-
-
 def subword_tokens(
     words: Sequence[str],
     convention: Convention,
@@ -275,7 +278,7 @@ def subword_tokens(
     """Split words into subword tokens under a boundary convention.
 
     ``piece_len`` bounds the characters per piece (``None`` keeps each word a
-    single token).  Round-trips through :func:`words_from_subwords` (pass
+    single token).  Round-trips through :func:`word_spans` (pass
     ``eos=True`` for SP_PREFIX, whose final word otherwise stays open).
     """
     if piece_len is not None and piece_len < 1:
@@ -431,7 +434,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
                 )
             try:
                 frames = frames_from_rows(raw_frames)
-            except (TypeError, ValueError) as exc:
+            except ValueError as exc:
                 raise ManifestError(
                     f"bad frame row at line {lineno}: {exc}"
                 ) from exc

@@ -16,13 +16,7 @@ from typing import Callable, Sequence
 
 from .core import Hypothesis, Utterance
 from .detection import DetectionKind
-from .metrics import (
-    DelaySequence,
-    MetricsReport,
-    Regime,
-    aggregate_metrics,
-    latency_regime,
-)
+from .metrics import DelaySequence, MetricsReport, aggregate_metrics
 from .model import ModelInterface
 from .policy import Event, PolicyConfig, SimulRunError
 from .policy import run_simultaneous, write_event_log
@@ -227,11 +221,6 @@ def sweep(
             run_dir.mkdir(parents=True, exist_ok=True)
             write_curve_csv(run_dir / "curve.csv", run_points)
     return points
-
-
-def report_regimes(points: Sequence[CurvePoint]) -> dict[CurvePoint, Regime]:
-    """Band each curve point by its LAAL."""
-    return {point: latency_regime(point.laal_ms) for point in points}
 
 
 # ---------------------------------------------------------------------------

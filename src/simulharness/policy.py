@@ -35,7 +35,7 @@ import logging
 import time
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -230,7 +230,7 @@ class SimulEngine:
     """Incremental wait-k engine: push source chunks, collect WRITE events.
 
     The in-process runner and the TCP service both drive utterances through
-    this class, which is what makes their outputs identical given identical
+    :meth:`run`, which is what makes their outputs identical given identical
     chunking.
     """
 
@@ -273,14 +273,6 @@ class SimulEngine:
     def state(self) -> SimulState:
         return self._state
 
-    @property
-    def model(self) -> ModelInterface:
-        return self._model
-
-    @property
-    def events(self) -> list[Event]:
-        return list(self._events)
-
     def _timed(self, fn, *args):
         start = time.perf_counter()
         try:
@@ -293,6 +285,26 @@ class SimulEngine:
         return self._state.received_ms + self._compute_ms
 
     # -- driving -----------------------------------------------------------
+
+    def run(self, chunks: Iterable[Sequence[Frame]]) -> Iterator[list[Event]]:
+        """READ each chunk, then finish the source; yield each step's WRITEs.
+
+        No chunk is taken once the target has ended.  A step that fails
+        raises :class:`SimulRunError` carrying the action log so far, whatever
+        exception the model raised; an exception from ``chunks`` itself
+        propagates unchanged.
+        """
+        for chunk in chunks:
+            yield self._step(self.push_chunk, chunk)
+            if self._done:
+                return
+        yield self._step(self.finish_source)
+
+    def _step(self, action, *args) -> list[Event]:
+        try:
+            return action(*args)
+        except Exception as exc:
+            raise SimulRunError(str(exc), events=self._events) from exc
 
     def push_chunk(self, frames: Sequence[Frame]) -> list[Event]:
         """READ one chunk of frames, then WRITE whatever became due.
@@ -458,19 +470,11 @@ def run_simultaneous(
     carrying the partial action log if anything fails mid-run, whatever
     exception the model raised.
     """
-    chunks = segment_stream(utterance, config.step_ms)
     engine = SimulEngine(
         model, config.for_utterance(utterance), frame_ms=utterance.frame_ms
     )
-    try:
-        for chunk in chunks:
-            if engine.done:
-                break
-            engine.push_chunk(chunk)
-        if not engine.done:
-            engine.finish_source()
-    except Exception as exc:
-        raise SimulRunError(str(exc), events=engine.events) from exc
+    for _writes in engine.run(segment_stream(utterance, config.step_ms)):
+        pass
     return engine.result()
 
 

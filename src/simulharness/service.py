@@ -5,9 +5,11 @@ policy settings, its word cap resolved for the utterance, and the frame
 duration), streams CHUNK messages of feature frames, and closes the source
 with EOS_SRC.  The session id names the utterance.  The server
 interleaves WORD messages exactly when the in-process engine would emit them
--- both sides are the same :class:`~simulharness.policy.SimulEngine` -- and
-ends the target stream with EOS_TGT.  Any protocol violation or model failure
-is answered with an ERROR message and the connection is closed.
+-- both sides drive the same :class:`~simulharness.policy.SimulEngine` through
+its ``run`` loop -- and ends the target stream with EOS_TGT.  A session that
+fails ends in one place, with one ERROR message (``protocol: …``,
+``config: …`` or ``model: …``) and a close.  A client that stops sending
+before EOS_SRC gets one too; a connection that sends nothing gets none.
 
 Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms`` (each side stamps its own
@@ -31,13 +33,13 @@ import threading
 import time
 import uuid
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from .core import Convention, Hypothesis, SubwordToken, Utterance
+from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
 from .core import decode_json, frames_from_rows, segment_stream
 from .harness import CorpusResult, evaluate_utterance, score_results
 from .model import ModelInterface
-from .policy import PolicyConfig, SimulEngine
+from .policy import PolicyConfig, SimulEngine, SimulRunError
 
 logger = logging.getLogger(__name__)
 
@@ -111,116 +113,112 @@ class WireMessage:
 # ---------------------------------------------------------------------------
 
 
+class _SessionError(Exception):
+    """Ends a session; the text is its ERROR reply."""
+
+
+def _client_message(raw: bytes) -> WireMessage:
+    try:
+        message = WireMessage.parse(raw)
+    except ValueError as exc:
+        raise _SessionError(f"protocol: {exc}") from None
+    if message.kind not in _CLIENT_KINDS:
+        raise _SessionError(f"protocol: unexpected {message.kind} from client")
+    return message
+
+
 class _SessionHandler(socketserver.StreamRequestHandler):
     """One streaming session: HELLO -> CHUNK* -> EOS_SRC -> close."""
 
-    def handle(self) -> None:  # noqa: C901 - single protocol walk
-        started = time.perf_counter()
-        session_id: str | None = None
-        engine: SimulEngine | None = None
-
-        def send(kind: str, payload: object) -> None:
-            message = WireMessage(
-                kind=kind,
-                session=session_id or "?",
-                payload=payload,
-                t_server_ms=(time.perf_counter() - started) * 1000.0,
-            )
-            self.wfile.write(message.to_line())
-            self.wfile.flush()
-
-        def fail(text: str, exc_info: bool = False) -> None:
-            logger.warning(
-                "session %s: %s", session_id, text, exc_info=exc_info
-            )
-            send(KIND_ERROR, {"message": text})
-
-        def send_words(writes) -> None:
-            for write in writes:
-                send(
-                    KIND_WORD,
-                    {"word": write.payload, "ideal_ms": write.ideal_ms},
-                )
-
-        def send_eos_tgt() -> None:
-            hypothesis, _events = engine.result()
-            send(
-                KIND_EOS_TGT,
-                {
-                    "tokens": [t.surface for t in hypothesis.tokens],
-                    "convention": engine.model.target_convention.value,
-                    "truncated": hypothesis.truncated,
-                },
-            )
-
+    def handle(self) -> None:
+        self._started = time.perf_counter()
+        self._session: str | None = None
         try:
-            for raw in self.rfile:
-                try:
-                    message = WireMessage.parse(raw)
-                except ValueError as exc:
-                    fail(f"protocol: {exc}")
-                    return
-                if message.kind not in _CLIENT_KINDS:
-                    fail(f"protocol: unexpected {message.kind} from client")
-                    return
-                if engine is None:
-                    if message.kind != KIND_HELLO:
-                        fail("protocol: expected HELLO")
-                        return
-                    session_id = message.session
-                    payload = message.payload or {}
-                    try:
-                        if not isinstance(payload, dict):
-                            raise ValueError("HELLO payload must be an object")
-                        unknown = set(payload) - _HELLO_FIELDS
-                        if unknown:
-                            raise ValueError(
-                                f"unknown HELLO fields {sorted(unknown)}"
-                            )
-                        config = PolicyConfig.from_dict(
-                            payload.get("config") or {}
-                        )
-                        engine = SimulEngine(
-                            self.server.model,
-                            config,
-                            frame_ms=payload.get("frame_ms", 10),
-                        )
-                    except Exception as exc:
-                        fail(f"config: {exc}")
-                        return
-                    continue
-                if message.session != session_id:
-                    fail(f"protocol: unknown session {message.session!r}")
-                    return
-                if message.kind == KIND_HELLO:
-                    fail("protocol: session already started")
-                    return
-                try:
-                    if message.kind == KIND_CHUNK:
-                        rows = (message.payload or {}).get("frames")
-                        if not isinstance(rows, list) or not rows:
-                            fail("protocol: CHUNK carries no frames")
-                            return
-                        try:
-                            frames = frames_from_rows(rows)
-                        except (TypeError, ValueError) as exc:
-                            fail(f"protocol: bad frame row: {exc}")
-                            return
-                        send_words(engine.push_chunk(frames))
-                        if engine.done:
-                            # the model closed the target early
-                            send_eos_tgt()
-                            return
-                    else:  # EOS_SRC
-                        send_words(engine.finish_source())
-                        send_eos_tgt()
-                        return
-                except Exception as exc:
-                    # any failure ends the session with an ERROR reply
-                    fail(f"model: {exc}", exc_info=True)
-                    return
-        except (ConnectionError, BrokenPipeError, OSError):
-            logger.info("session %s: connection dropped", session_id)
+            try:
+                self._converse()
+            except _SessionError as exc:
+                # only a model failure has a cause, logged with its traceback
+                logger.warning(
+                    "session %s: %s", self._session, exc, exc_info=exc.__cause__
+                )
+                self._send(KIND_ERROR, {"message": str(exc)})
+        except OSError:
+            logger.info("session %s: connection dropped", self._session)
+
+    def _converse(self) -> None:
+        messages = map(_client_message, self.rfile)
+        hello = next(messages, None)
+        if hello is None:
+            return  # a connection that sends nothing is no session
+        if hello.kind != KIND_HELLO:
+            raise _SessionError("protocol: expected HELLO")
+        self._session = hello.session
+        payload = hello.payload or {}
+        try:
+            if not isinstance(payload, dict):
+                raise ValueError("HELLO payload must be an object")
+            unknown = set(payload) - _HELLO_FIELDS
+            if unknown:
+                raise ValueError(f"unknown HELLO fields {sorted(unknown)}")
+            engine = SimulEngine(
+                self.server.model,
+                PolicyConfig.from_dict(payload.get("config") or {}),
+                frame_ms=payload.get("frame_ms", 10),
+            )
+        except Exception as exc:
+            raise _SessionError(f"config: {exc}") from None
+        try:
+            for writes in engine.run(self._chunks(messages)):
+                for write in writes:
+                    self._send(
+                        KIND_WORD,
+                        {"word": write.payload, "ideal_ms": write.ideal_ms},
+                    )
+        except SimulRunError as exc:
+            raise _SessionError(f"model: {exc}") from exc
+        hypothesis, _events = engine.result()
+        self._send(
+            KIND_EOS_TGT,
+            {
+                "tokens": [t.surface for t in hypothesis.tokens],
+                "convention": self.server.model.target_convention.value,
+                "truncated": hypothesis.truncated,
+            },
+        )
+
+    def _chunks(
+        self, messages: Iterator[WireMessage]
+    ) -> Iterator[tuple[Frame, ...]]:
+        """The frames of each CHUNK up to EOS_SRC."""
+        for message in messages:
+            if message.session != self._session:
+                raise _SessionError(
+                    f"protocol: unknown session {message.session!r}"
+                )
+            if message.kind == KIND_HELLO:
+                raise _SessionError("protocol: session already started")
+            if message.kind == KIND_EOS_SRC:
+                return
+            payload = message.payload
+            rows = payload.get("frames") if isinstance(payload, dict) else None
+            if not isinstance(rows, list) or not rows:
+                raise _SessionError("protocol: CHUNK carries no frames")
+            try:
+                frames = frames_from_rows(rows)
+            except ValueError as exc:
+                raise _SessionError(f"protocol: bad frame row: {exc}") from None
+            yield frames
+        raise _SessionError("protocol: connection closed before EOS_SRC")
+
+    def _send(self, kind: str, payload: object) -> None:
+        message = WireMessage(
+            kind=kind,
+            session=self._session or "?",
+            payload=payload,
+            t_server_ms=(time.perf_counter() - self._started) * 1000.0,
+        )
+        self.wfile.write(message.to_line())
+        self.wfile.flush()
 
 
 class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
@@ -276,14 +274,6 @@ class StreamTranslationServer:
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
-
-
-def serve(
-    bind_address: tuple[str, int], model: ModelInterface
-) -> StreamTranslationServer:
-    """Start a server on ``bind_address`` and return its handle."""
-    host, port = bind_address
-    return StreamTranslationServer(model, host=host, port=port).start()
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from simulharness import (
     SubwordToken,
     Utterance,
     build_synthetic_utterance,
-    words_from_subwords,
+    word_spans,
 )
 
 #: 1:1 lexicon over six words; sorted() of the keys is stable and obvious.
@@ -128,8 +128,8 @@ def oracle_offline(
     tokens = tuple(
         SubwordToken(model.target_vocab[i], convention) for i in ids
     )
-    words, _ = words_from_subwords(tokens, convention, eos=True)
-    return tokens, tuple(words)
+    spans, _ = word_spans(tokens, convention, eos=True)
+    return tokens, tuple(word for word, _ in spans)
 
 
 # ---------------------------------------------------------------------------

@@ -38,11 +38,11 @@ from simulharness import (
     ctc_greedy_collapse,
     evaluate_corpus,
     fixed_word_count,
+    latency_regime,
     length_adaptive_average_lagging,
     length_difference,
     offline_greedy_translate,
     read_curve_csv,
-    report_regimes,
     run_simultaneous,
     sweep,
     synthetic_corpus,
@@ -375,8 +375,7 @@ def test_criterion_09_sweep_shape(tmp_path):
         }
 
         regimes = {
-            (p.strategy, p.k): regime
-            for p, regime in report_regimes(points).items()
+            (p.strategy, p.k): latency_regime(p.laal_ms) for p in points
         }
         for strategy in (DetectionKind.FIXED, DetectionKind.ADAPTIVE):
             assert regimes[(strategy, 3)] is Regime.LOW      # 840 ms

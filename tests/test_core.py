@@ -19,7 +19,6 @@ from simulharness import (
     segment_stream,
     subword_tokens,
     word_spans,
-    words_from_subwords,
 )
 
 # ---------------------------------------------------------------------------
@@ -120,22 +119,20 @@ _words = st.lists(
 @given(words=_words, piece_len=st.one_of(st.none(), st.integers(1, 4)))
 def test_bpe_tokenize_detokenize_round_trip(words, piece_len):
     tokens = subword_tokens(words, Convention.BPE_SUFFIX, piece_len)
-    out, partial = words_from_subwords(tokens, Convention.BPE_SUFFIX)
-    assert out == words
+    spans, partial = word_spans(tokens, Convention.BPE_SUFFIX)
+    assert [word for word, _ in spans] == words
     assert partial is False
 
 
 @given(words=_words, piece_len=st.one_of(st.none(), st.integers(1, 4)))
 def test_sp_tokenize_detokenize_round_trip_needs_eos(words, piece_len):
     tokens = subword_tokens(words, Convention.SP_PREFIX, piece_len)
-    complete, partial = words_from_subwords(tokens, Convention.SP_PREFIX)
+    complete, partial = word_spans(tokens, Convention.SP_PREFIX)
     # without the end-of-sequence signal the last word is still open
-    assert complete == words[:-1]
+    assert [word for word, _ in complete] == words[:-1]
     assert partial is True
-    flushed, partial = words_from_subwords(
-        tokens, Convention.SP_PREFIX, eos=True
-    )
-    assert flushed == words
+    flushed, partial = word_spans(tokens, Convention.SP_PREFIX, eos=True)
+    assert [word for word, _ in flushed] == words
     assert partial is False
 
 
@@ -329,6 +326,14 @@ def test_load_manifest_rejects_a_bool_frame_ms(tmp_path):
          "bad frame row at line 2"),
         (_record("u2", frames=[[0.0, 1.0], [0.0]]), None,
          "share a feature dimension at line 2"),
+        (_record("u2", frames=["12"]), None,
+         "bad frame row at line 2: '12' is not an array of numbers"),
+        (_record("u2", frames=[[True, False]]), None,
+         r"bad frame row at line 2: \[True, False\] is not an array"),
+        (_record("u2", frames=[["1.5", "0"]]), None,
+         r"bad frame row at line 2: \['1.5', '0'\] is not an array"),
+        (_record("u2", frames=[[10**400, 0]]), None,
+         "bad frame row at line 2: int too large to convert to float"),
     ],
 )
 def test_load_manifest_names_the_line_of_a_bad_record(

@@ -18,7 +18,6 @@ from simulharness import (
     DetectionKind,
     MetricsReport,
     PolicyConfig,
-    Regime,
     SimulRunError,
     SweepSpec,
     aggregate_metrics,
@@ -26,7 +25,6 @@ from simulharness import (
     offline_greedy_translate,
     read_curve_csv,
     read_event_log,
-    report_regimes,
     run_simultaneous,
     sweep,
     write_curve_csv,
@@ -207,18 +205,6 @@ def test_sweep_fails_loudly_when_nothing_scores():
     object.__setattr__(utt, "reference", ())
     with pytest.raises(SimulRunError, match="no scored utterances"):
         sweep([utt], model, SweepSpec(k_values=(1,)))
-
-
-def test_report_regimes_bands_points_by_laal():
-    model = make_model()
-    utts = _corpus(model, n_utts=2, n_words=10)
-    points = sweep(
-        utts, model,
-        SweepSpec(k_values=(3, 5, 8), strategies=(DetectionKind.FIXED,)),
-    )
-    regimes = report_regimes(points)
-    by_k = {p.k: regime for p, regime in regimes.items()}
-    assert by_k == {3: Regime.LOW, 5: Regime.MEDIUM, 8: Regime.HIGH}
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from simulharness import (
     client_evaluate,
     evaluate_corpus,
     run_simultaneous,
-    serve,
     stream_utterance,
 )
 
@@ -227,6 +226,18 @@ def _chunk_rows(model, words):
             [_msg("HELLO", payload="config")],
             "config: HELLO payload must be an object",
         ),
+        (
+            [_hello(), _msg("CHUNK", payload=[1])],
+            "protocol: CHUNK carries no frames",
+        ),
+        (
+            [_hello(), _msg("CHUNK", payload={"frames": ["1234567"]})],
+            "protocol: bad frame row: '1234567' is not an array of numbers",
+        ),
+        (
+            [_hello(), _msg("CHUNK", payload={"frames": [[10**400] * 7]})],
+            "protocol: bad frame row: int too large to convert to float",
+        ),
     ],
 )
 def test_protocol_violations_get_an_error_reply(server, lines, complaint):
@@ -289,6 +300,38 @@ def test_deeply_nested_line_is_reported_as_malformed(server):
     assert replies[0].payload["message"].startswith(
         "protocol: malformed message"
     )
+
+
+@pytest.mark.parametrize(
+    "words", [[], ["da", "esel"]], ids=["hello-only", "hello-and-a-chunk"]
+)
+def test_a_client_that_stops_sending_before_eos_src_gets_an_error(
+    server, words
+):
+    model = make_model()
+    lines = [_hello(k=1)]
+    if words:
+        # 560 ms of source in one chunk: at k=1 both words fall due
+        rows = _chunk_rows(model, words)
+        lines.append(_msg("CHUNK", payload={"frames": rows}))
+    replies = _exchange(server.address, lines)
+    assert [m.kind for m in replies] == ["WORD"] * len(words) + ["ERROR"]
+    assert [m.payload["word"] for m in replies[:-1]] == (
+        model.translate_words(words)
+    )
+    assert replies[-1].payload == {
+        "message": "protocol: connection closed before EOS_SRC"
+    }
+
+
+def test_a_connection_that_sends_nothing_is_no_session(server):
+    assert _exchange(server.address, []) == []
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel"])
+    hyp, _ = stream_utterance(
+        server.address, utt, PolicyConfig(k=1), timeout_s=10
+    )
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
 
 
 def test_model_failure_is_reported_on_the_wire(server):
@@ -516,16 +559,3 @@ def test_client_evaluate_rejects_unknown_pacing_before_any_session():
     utts = [aligned_utterance(model, ["da"], utt_id=f"u{i}") for i in range(2)]
     with pytest.raises(ValueError, match="unknown pacing 'warp'"):
         client_evaluate(("127.0.0.1", 9), utts, PolicyConfig(), pacing="warp")
-
-
-def test_serve_helper_binds_and_answers():
-    handle = serve(("127.0.0.1", 0), make_model())
-    try:
-        host, port = handle.address
-        assert host == "127.0.0.1" and port > 0
-        model = make_model()
-        utt = aligned_utterance(model, ["da", "esel"])
-        hyp, _ = stream_utterance(handle.address, utt, PolicyConfig(k=1))
-        assert list(hyp.words) == model.translate_words(["da", "esel"])
-    finally:
-        handle.shutdown()

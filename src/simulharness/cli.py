@@ -425,9 +425,7 @@ def make_demo_command(out_dir: Path, n_utts: int, seed: int) -> None:
                     {
                         "id": utterance.id,
                         "frame_ms": utterance.frame_ms,
-                        "frames": [
-                            list(f.features) for f in utterance.frames
-                        ],
+                        "frames": utterance.frames,
                         "transcript": list(utterance.transcript or ()),
                         "reference": list(utterance.reference),
                     }

@@ -12,9 +12,10 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 logger = logging.getLogger(__name__)
 
@@ -47,20 +48,24 @@ class SubwordToken:
     convention: Convention
 
 
-@dataclass(frozen=True)
-class Frame:
-    """A single feature frame; its duration is the utterance's ``frame_ms``."""
+class Frame(tuple):
+    """A single feature frame: a tuple of its ``float`` feature values.  Its
+    duration is the utterance's ``frame_ms``."""
 
-    features: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.features, tuple):
-            object.__setattr__(
-                self, "features", tuple(float(x) for x in self.features)
-            )
+    def __new__(cls, features: Iterable[float]) -> Frame:
+        return super().__new__(cls, map(float, features))
+
+    @property
+    def features(self) -> tuple[float, ...]:
+        """The feature values: the frame itself."""
+        return self
 
 
 _NUMBER_TYPES = frozenset({int, float})
+#: a row of ``float`` values as a Frame, with no call per value
+_as_frame = partial(tuple.__new__, Frame)
 
 
 def frames_from_rows(rows: Sequence) -> tuple[Frame, ...]:
@@ -69,15 +74,18 @@ def frames_from_rows(rows: Sequence) -> tuple[Frame, ...]:
     Every row must be a list of numbers, each an ``int`` or a ``float`` (a
     ``bool`` is not a number here).  Anything else raises ``ValueError``
     naming the first bad row.  The types of all rows and values are checked
-    at once, at C speed.
+    at once, at C speed, and rows of floats alone become frames as they are.
     """
     if not (set(map(type, rows)) <= {list}
-            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
+            and (types := set(map(type, chain.from_iterable(rows))))
+            <= _NUMBER_TYPES):
         bad = next(row for row in rows if type(row) is not list
                    or not set(map(type, row)) <= _NUMBER_TYPES)
         raise ValueError(f"{bad!r} is not an array of numbers")
+    if types <= {float}:
+        return tuple(map(_as_frame, rows))
     try:
-        return tuple(Frame(tuple(map(float, row))) for row in rows)
+        return tuple(map(Frame, rows))
     except OverflowError as exc:  # an int beyond the range of a float
         raise ValueError(str(exc)) from None
 
@@ -109,7 +117,7 @@ class Utterance:
                 self, "word_end_frames", tuple(self.word_end_frames)
             )
         check_frame_ms(self.frame_ms)
-        if len({len(f.features) for f in self.frames}) > 1:
+        if len(set(map(len, self.frames))) > 1:
             raise ValueError(
                 "all frames in an utterance must share a feature dimension"
             )
@@ -343,12 +351,16 @@ class ManifestError(ValueError):
 
 def decode_json(text: str | bytes) -> object:
     """``json.loads``, with too deep a nesting -- a ``RecursionError`` in the
-    stdlib parser, which no ``ValueError`` handler catches -- reported as a
-    decode error."""
+    stdlib parser, which no ``ValueError`` handler catches -- and any other
+    ``ValueError`` it raises reported as a decode error."""
     try:
         return json.loads(text)
     except RecursionError:
         raise json.JSONDecodeError("nested too deeply", "", 0) from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer of more than 4,300 digits
+        raise json.JSONDecodeError(str(exc), "", 0) from None
 
 
 _REQUIRED_FIELDS = ("id", "frames", "frame_ms", "reference")

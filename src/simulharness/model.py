@@ -29,7 +29,6 @@ import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -241,19 +240,18 @@ class LexiconMockModel(ModelInterface):
     ) -> tuple[_MockStates, CtcPosterior]:
         self._sleep()
         vocab_size = len(self._source_vocab)
-        rows = list(map(attrgetter("features"), frames))
-        if set(map(len, rows)) - {vocab_size}:
-            width = next(n for n in map(len, rows) if n != vocab_size)
+        if set(map(len, frames)) - {vocab_size}:
+            width = next(n for n in map(len, frames) if n != vocab_size)
             raise ValueError(
                 f"feature dim {width} does not match the "
                 f"source vocabulary size {vocab_size}"
             )
         features = np.fromiter(
-            chain.from_iterable(rows), float, len(rows) * vocab_size
-        ).reshape(len(rows), vocab_size)
+            chain.from_iterable(frames), float, len(frames) * vocab_size
+        ).reshape(len(frames), vocab_size)
         # a row's peak is its max, NaN included (argmax finds the first NaN)
         ids = features.argmax(axis=1)
-        index = np.arange(len(rows))
+        index = np.arange(len(frames))
         marked = features[index, ids] >= _BOUNDARY_THRESHOLD
         heard = ids[marked].tolist()
         if 0 in heard:
@@ -263,7 +261,7 @@ class LexiconMockModel(ModelInterface):
         target_ids = tuple(
             i for word in visible for i in self._target_ids[word]
         )
-        one_hot = np.zeros((len(rows), vocab_size))
+        one_hot = np.zeros((len(frames), vocab_size))
         one_hot[index, ids] = 1.0
         posterior = CtcPosterior(one_hot, self._source_vocab, blank_id=0)
         return _MockStates(visible, target_ids), posterior

@@ -189,7 +189,8 @@ class _SessionHandler(socketserver.StreamRequestHandler):
     def _chunks(
         self, messages: Iterator[WireMessage]
     ) -> Iterator[tuple[Frame, ...]]:
-        """The frames of each CHUNK up to EOS_SRC."""
+        """The frames of each CHUNK up to EOS_SRC, all of one width."""
+        widths: set[int] = set()
         for message in messages:
             if message.session != self._session:
                 raise _SessionError(
@@ -207,6 +208,12 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 frames = frames_from_rows(rows)
             except ValueError as exc:
                 raise _SessionError(f"protocol: bad frame row: {exc}") from None
+            widths.update(map(len, frames))
+            if len(widths) > 1:
+                raise _SessionError(
+                    "protocol: all frames in a session must share a feature "
+                    "dimension"
+                )
             yield frames
         raise _SessionError("protocol: connection closed before EOS_SRC")
 
@@ -343,10 +350,7 @@ def stream_utterance(
         )
         try:
             for chunk in chunks:
-                transmit(
-                    KIND_CHUNK,
-                    {"frames": [list(f.features) for f in chunk]},
-                )
+                transmit(KIND_CHUNK, {"frames": chunk})
                 if pacing == "realtime":
                     time.sleep(config.step_ms / 1000.0)
             transmit(KIND_EOS_SRC, None)

@@ -80,9 +80,14 @@ def test_eval_command_scores_the_demo(demo, tmp_path):
     assert logs == [f"demo-{i:04d}.jsonl" for i in range(4)]
 
 
-def test_eval_rejects_a_broken_manifest(tmp_path, demo):
+@pytest.mark.parametrize(
+    "line",
+    ["{not json", '{"id": "u1", "frames": [[' + "9" * 5000 + "]]}"],
+    ids=["not-json", "5000-digit-int"],
+)
+def test_eval_rejects_a_broken_manifest(tmp_path, demo, line):
     manifest = tmp_path / "broken.jsonl"
-    manifest.write_text("{not json\n", encoding="utf-8")
+    manifest.write_text(line + "\n", encoding="utf-8")
     result = _run(
         "eval", "--manifest", manifest,
         "--model-config", demo / "model.json",

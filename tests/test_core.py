@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given
@@ -20,6 +22,7 @@ from simulharness import (
     subword_tokens,
     word_spans,
 )
+from simulharness.core import frames_from_rows
 
 # ---------------------------------------------------------------------------
 # word_spans: hand-enumerated oracles
@@ -162,6 +165,26 @@ def test_frame_coerces_features_and_validates_duration():
     assert frame.features == (1.0, 0.0)
     with pytest.raises(ValueError, match="frame_ms must be positive"):
         Utterance(id="u", frames=(frame,), frame_ms=0)
+    for copied in (pickle.loads(pickle.dumps(frame)), copy.deepcopy(frame)):
+        assert type(copied) is Frame
+        assert copied.features == (1.0, 0.0)
+        assert all(type(x) is float for x in copied.features)
+    assert hash(frame) == hash(Frame((1.0, 0.0)))
+    assert len({frame, Frame((1.0, 0.0))}) == 1
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0.0, 1.0], [2.0, 0.5]], [[0, 1], [2, 0]], [[0, 1.0], [2.0, 0]]],
+    ids=["float", "int", "mixed"],
+)
+def test_frames_from_rows_makes_float_frames_of_any_number_rows(rows):
+    frames = frames_from_rows(rows)
+    assert all(type(f) is Frame for f in frames)
+    assert [f.features for f in frames] == [
+        tuple(map(float, row)) for row in rows
+    ]
+    assert all(type(x) is float for f in frames for x in f.features)
 
 
 def test_utterance_computes_duration_and_validates():
@@ -297,11 +320,24 @@ def test_load_manifest_reports_deep_nesting_as_a_manifest_error(tmp_path):
         ([_record(frames="missing.json")],
          "frames file 'missing.json' not found at line 1"),
         ([_record(reference="hello")], "must be a list of strings"),
+        (['{"id": "u1", "frames": [[' + "9" * 5000 + "]]}"],
+         "malformed JSON at line 1: Exceeds the limit"),
     ],
 )
 def test_load_manifest_error_messages(tmp_path, lines, message):
     path = _write_manifest(tmp_path, lines)
     with pytest.raises(ManifestError, match=message):
+        load_manifest(path)
+
+
+def test_an_overlong_integer_in_a_side_file_is_malformed_json(tmp_path):
+    # json.loads raises a plain ValueError past 4,300 digits
+    (tmp_path / "f.json").write_text(
+        "[[" + "9" * 5000 + "]]", encoding="utf-8"
+    )
+    path = _write_manifest(tmp_path, [_record(frames="f.json")])
+    with pytest.raises(ManifestError, match="malformed frames file 'f.json' "
+                       "at line 1: Exceeds the limit"):
         load_manifest(path)
 
 
@@ -334,6 +370,8 @@ def test_load_manifest_rejects_a_bool_frame_ms(tmp_path):
          r"bad frame row at line 2: \['1.5', '0'\] is not an array"),
         (_record("u2", frames=[[10**400, 0]]), None,
          "bad frame row at line 2: int too large to convert to float"),
+        (_record("u2", frames=[[0.0, 1.0], 5]), None,
+         "bad frame row at line 2: 5 is not an array of numbers"),
     ],
 )
 def test_load_manifest_names_the_line_of_a_bad_record(

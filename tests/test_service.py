@@ -28,6 +28,7 @@ from simulharness import (
     client_evaluate,
     evaluate_corpus,
     run_simultaneous,
+    segment_stream,
     stream_utterance,
 )
 
@@ -52,6 +53,16 @@ def test_wire_message_round_trip():
         assert line.endswith(b"\n") and line.count(b"\n") == 1
         assert WireMessage.parse(line) == message
         assert WireMessage.parse(line.decode("utf-8")) == message
+
+
+def test_a_chunk_line_of_frames_equals_one_of_lists():
+    utt = aligned_utterance(make_model(), ["da", "esel"])
+    for chunk in segment_stream(utt, 280):
+        lines = [
+            WireMessage("CHUNK", "s1", {"frames": frames}).to_line()
+            for frames in (chunk, [list(f.features) for f in chunk])
+        ]
+        assert lines[0] == lines[1]
 
 
 @pytest.mark.parametrize(
@@ -199,6 +210,13 @@ def _chunk_rows(model, words):
     return [list(f.features) for f in utt.frames]
 
 
+_DA_ROWS = _chunk_rows(make_model(), ["da"])
+#: the last row is one channel short
+_RAGGED_ROWS = _DA_ROWS[:-1] + [_DA_ROWS[-1][:-1]]
+#: a consistent width, but two channels wider than the session's first CHUNK
+_WIDER_ROWS = [row + [0.0, 0.0] for row in _DA_ROWS]
+
+
 @pytest.mark.parametrize(
     "lines, complaint",
     [
@@ -238,6 +256,18 @@ def _chunk_rows(model, words):
             [_hello(), _msg("CHUNK", payload={"frames": [[10**400] * 7]})],
             "protocol: bad frame row: int too large to convert to float",
         ),
+        (
+            [_hello(), _msg("CHUNK", payload={"frames": _RAGGED_ROWS})],
+            "protocol: all frames in a session must share a feature dimension",
+        ),
+        (
+            [
+                _hello(),
+                _msg("CHUNK", payload={"frames": _DA_ROWS}),
+                _msg("CHUNK", payload={"frames": _WIDER_ROWS}),
+            ],
+            "protocol: all frames in a session must share a feature dimension",
+        ),
     ],
 )
 def test_protocol_violations_get_an_error_reply(server, lines, complaint):
@@ -271,6 +301,13 @@ def test_settings_of_the_wrong_type_get_a_config_error(
     replies = _exchange(server.address, lines)
     assert [m.kind for m in replies] == ["ERROR"]
     assert replies[0].payload["message"].startswith(complaint)
+
+
+def test_an_overlong_integer_is_a_malformed_message():
+    # json.loads raises a plain ValueError past 4,300 digits
+    line = '{"kind": "CHUNK", "session": "s1", "payload": ' + "9" * 5000 + "}"
+    with pytest.raises(ValueError, match="malformed message: Exceeds"):
+        WireMessage.parse(line)
 
 
 def test_garbage_line_is_reported_as_malformed(server):
@@ -343,6 +380,22 @@ def test_model_failure_is_reported_on_the_wire(server):
     replies = _exchange(server.address, lines)
     assert replies[-1].kind == "ERROR"
     assert replies[-1].payload["message"].startswith("model: ")
+
+
+@pytest.mark.parametrize(
+    "chunks", [[_RAGGED_ROWS], [_DA_ROWS, _WIDER_ROWS]],
+    ids=["ragged-chunk", "wider-second-chunk"],
+)
+def test_a_change_of_width_is_a_protocol_error(server, caplog, chunks):
+    lines = [_hello()]
+    lines += [_msg("CHUNK", payload={"frames": rows}) for rows in chunks]
+    with caplog.at_level(logging.WARNING, logger="simulharness.service"):
+        replies = _exchange(server.address, lines)
+    assert replies[-1].payload["message"] == (
+        "protocol: all frames in a session must share a feature dimension"
+    )
+    # a client's fault is logged without a model traceback
+    assert not any(record.exc_info for record in caplog.records)
 
 
 def test_a_non_numeric_chunk_row_is_a_protocol_error(server, caplog):

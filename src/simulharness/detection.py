@@ -8,9 +8,12 @@ Two strategies decide how many complete source words have been heard so far:
   collapse it into subword tokens, and count the complete words among them.
 
 The adaptive counter is robust to silence -- appended blank frames add no
-tokens -- while the fixed counter keeps ticking.  :class:`AdaptiveDetector`
-runs it on a stream: each update collapses only the posterior rows that are
-new or changed and counts words from the last complete one on.
+tokens -- while the fixed counter keeps ticking.  A collapsed token is a run
+of equal argmax rows, and a run ends at a non-blank frame whose next row
+differs, or at the last frame.  :class:`AdaptiveDetector` applies that rule
+on a stream: each update argmaxes only the rows that are new or changed,
+finds the runs from the frame before them on, and counts words from the last
+complete one on.
 """
 
 from __future__ import annotations
@@ -19,12 +22,12 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import floordiv, itemgetter, lt
+from operator import floordiv, lt
 from typing import Sequence
 
 import numpy as np
 
-from .core import Convention, SubwordToken, word_spans
+from .core import Convention, SubwordToken, extend_word_spans, word_spans
 
 
 class DetectionKind(Enum):
@@ -193,69 +196,63 @@ class AdaptiveDetector:
     """Adaptive word detection over a posterior that arrives a tail at a time.
 
     :meth:`update` takes the posterior rows from frame ``first`` on; the rows
-    before ``first`` are final.  It collapses just those rows with
-    :func:`ctc_greedy_collapse`, merges the run that straddles ``first``, and
-    runs :func:`adaptive_word_count` from the first token after the last
-    complete word.  The result keeps the end frames of the words whose
-    tokens did not change and appends the rest, checking only those.
-    After every update :attr:`collapsed` equals ``ctc_greedy_collapse`` over
-    all rows so far, and the result equals ``adaptive_word_count`` over that.
+    before ``first`` are final.  It argmaxes each new row once, keeps the
+    runs that end before frame ``first - 1`` and finds the rest again by the
+    run rule.  Words come from :func:`~simulharness.core.extend_word_spans`,
+    from the first token after the last complete word.  The result keeps the
+    end frames of the words whose tokens did not change and appends the
+    rest, checking only those.  After every update :attr:`collapsed` equals
+    ``ctc_greedy_collapse`` over all rows so far, and the result equals
+    ``adaptive_word_count`` over that.
     """
 
     def __init__(self, convention: Convention) -> None:
         self._convention = convention
         self._path: list[int] = []  # argmax of every row so far
-        self.collapsed: list[tuple[SubwordToken, int]] = []
-        self._words: list[int] = []  # last token index of each word
+        self._tokens: list[SubwordToken] = []  # one per run
+        self._ends: list[int] = []  # the last frame of each run
+        self._spans: list[tuple[str, int]] = []  # complete words
         self._result = EMPTY_DETECTION
+
+    @property
+    def collapsed(self) -> list[tuple[SubwordToken, int]]:
+        """Each run's token with its last frame, over every row so far."""
+        return list(zip(self._tokens, self._ends))
 
     def update(self, posterior: CtcPosterior, first: int) -> DetectionResult:
         """Take ``posterior`` as the rows from frame ``first`` on; return the
         words detected over every row so far."""
-        if not 0 <= first <= len(self._path):
+        path, tokens, ends = self._path, self._tokens, self._ends
+        spans = self._spans
+        if not 0 <= first <= len(path):
             raise ValueError("a posterior must not skip frames")
-        blank = posterior.blank_id
-        collapsed = self.collapsed
-        # forget the runs of rows from ``first`` on, cutting the one that
-        # straddles ``first`` back to its part before it
-        del self._path[first:]
-        while collapsed and collapsed[-1][1] >= first:
-            collapsed.pop()
-        unchanged = len(collapsed)  # tokens before this index stay as they are
-        last = self._path[-1] if self._path else blank
-        if last != blank and (not collapsed or collapsed[-1][1] < first - 1):
-            token = SubwordToken(posterior.vocab[last], self._convention)
-            collapsed.append((token, first - 1))
-        # a word stays complete while its closing token exists (SentencePiece
+        blank, convention = posterior.blank_id, self._convention
+        # the runs that end before frame first - 1 stay as they are; the run
+        # through it, if any, keeps its token but may now end later
+        kept = bisect_left(ends, first - 1)
+        stable = kept + (first > 0 and path[first - 1] != blank)
+        # a word stays complete while its closing token stays (SentencePiece
         # words close at the next word's first token)
-        closing = int(self._convention is Convention.SP_PREFIX)
-        while self._words and self._words[-1] + closing >= len(collapsed):
-            self._words.pop()
-
-        if posterior.n_frames:
-            path = np.argmax(posterior.scores, axis=1).tolist()
-            if path[0] == last != blank:
-                # the run goes on: its token now ends inside the new rows
-                collapsed.pop()
-                unchanged = min(unchanged, len(collapsed))
-            collapsed.extend(
-                (token, first + frame)
-                for token, frame in ctc_greedy_collapse(
-                    posterior, self._convention
-                )
-            )
-            self._path.extend(path)
-
-        # the words whose last token is unchanged keep their end frames
-        keep = bisect_left(self._words, unchanged)
-        start = self._words[-1] + 1 if self._words else 0
-        found = adaptive_word_count(collapsed[start:], self._convention)
-        self._words.extend(
-            bisect_left(collapsed, end, lo=start, key=itemgetter(1))
-            for end in found.word_end_frames
-        )
-        if keep < self._result.word_count or found.word_count:
+        closing = int(convention is Convention.SP_PREFIX)
+        while spans and spans[-1][1] + closing >= stable:
+            spans.pop()
+        keep = len(spans)  # the words whose end frames stay as they are
+        if spans and spans[-1][1] >= kept:
+            keep -= 1  # closed by the run through frame first - 1
+        del path[first:], tokens[kept:], ends[kept:]
+        path += np.argmax(posterior.scores, axis=1).tolist()
+        # a run ends at a non-blank frame whose next row differs, or at the
+        # last frame
+        start = max(first - 1, 0)
+        rows = path[start:]
+        pairs = zip(rows, rows[1:] + [-1])  # each row with the next one
+        for frame, (index, after) in enumerate(pairs, start):
+            if index != after and index != blank:
+                tokens.append(SubwordToken(posterior.vocab[index], convention))
+                ends.append(frame)
+        extend_word_spans(spans, tokens, convention)
+        if keep < self._result.word_count or keep < len(spans):
             self._result = self._result._extended(
-                keep, [collapsed[i][1] for i in self._words[keep:]]
+                keep, [ends[i] for _, i in spans[keep:]]
             )
         return self._result

@@ -15,12 +15,12 @@ Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms`` (each side stamps its own
 clock, milliseconds since its start of session; the other field is null).
 
-Timing: WORD messages carry the engine's source-time delays, so ideal
-latency metrics reproduce a local run exactly.  The computation-aware ones do
-not yet, under either pacing: the client sends chunk *i* at the start of its
-span and clamps each wall delay to at least the ideal one, so compute shorter
-than a step vanishes (remote AL_CA has read equal to AL where a local run
-read higher).  Mending this waits on item 3a of ROADMAP.md.
+Timing: a WORD carries the engine's source-time delay, so ideal latency
+metrics reproduce a local run exactly, and its ``t_server_ms`` is the
+engine's wall delay (source time read plus compute).  Under fast pacing the
+client reports that, so computation-aware metrics are the server's.  Under
+real-time pacing it clamps each arrival to at least the ideal delay, so
+compute shorter than a step vanishes (item 3a of ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -173,6 +173,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                     self._send(
                         KIND_WORD,
                         {"word": write.payload, "ideal_ms": write.ideal_ms},
+                        write.wall_ms,
                     )
         except SimulRunError as exc:
             raise _SessionError(f"model: {exc}") from exc
@@ -217,13 +218,13 @@ class _SessionHandler(socketserver.StreamRequestHandler):
             yield frames
         raise _SessionError("protocol: connection closed before EOS_SRC")
 
-    def _send(self, kind: str, payload: object) -> None:
-        message = WireMessage(
-            kind=kind,
-            session=self._session or "?",
-            payload=payload,
-            t_server_ms=(time.perf_counter() - self._started) * 1000.0,
-        )
+    def _send(
+        self, kind: str, payload: object, stamp_ms: float | None = None
+    ) -> None:
+        if stamp_ms is None:  # a WORD is stamped with the engine's clock
+            stamp_ms = (time.perf_counter() - self._started) * 1000.0
+        message = WireMessage(kind, self._session or "?", payload,
+                              t_server_ms=stamp_ms)
         self.wfile.write(message.to_line())
         self.wfile.flush()
 
@@ -300,8 +301,9 @@ def stream_utterance(
 
     ``pacing`` is ``"fast"`` (send chunks back to back) or ``"realtime"``
     (one chunk per ``step_ms`` of wall time).  Returns the hypothesis --
-    ideal delays from the wire, wall delays from client arrival clamped to
-    the ideal -- plus the raw per-word arrival times in ms.
+    ideal delays from the wire, wall delays from the server engine (fast) or
+    client arrival clamped to the ideal (realtime) -- plus the raw per-word
+    arrival times in ms.
     """
     _check_pacing(pacing)
     chunks = segment_stream(utterance, config.step_ms)
@@ -354,7 +356,7 @@ def stream_utterance(
                 if pacing == "realtime":
                     time.sleep(config.step_ms / 1000.0)
             transmit(KIND_EOS_SRC, None)
-        except (ConnectionError, BrokenPipeError, OSError):
+        except OSError:
             pass  # the reader will surface the server's last word
         reader.join(timeout=timeout_s)
         if reader.is_alive():
@@ -375,7 +377,8 @@ def stream_utterance(
             continue
         words.append(message.payload["word"])
         ideal.append(int(message.payload["ideal_ms"]))
-        wall.append(max(float(message.payload["ideal_ms"]), arrival_ms))
+        wall.append(float(message.t_server_ms) if pacing == "fast"
+                    else max(float(message.payload["ideal_ms"]), arrival_ms))
     convention = Convention(final.payload["convention"])
     tokens = tuple(
         SubwordToken(surface, convention)

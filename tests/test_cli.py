@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import subprocess
 import sys
 import time
@@ -147,6 +148,36 @@ def test_sweep_command_writes_the_curve(demo, tmp_path):
     assert "fixed" in result.output and "k=1" in result.output
 
 
+def test_sweep_rejects_zero_runs(demo, tmp_path):
+    result = _run(
+        "sweep", "--manifest", demo / "manifest.jsonl",
+        "--model-config", demo / "model.json",
+        "--runs", 0, "--out", tmp_path / "sweep",
+    )
+    assert result.exit_code == 2, _all_output(result)
+    assert "runs_per_point must be at least 1" in _all_output(result)
+
+
+def test_sweep_with_nothing_to_score_fails(demo, tmp_path):
+    manifest = tmp_path / "unreferenced.jsonl"
+    records = [
+        json.loads(line)
+        for line in (demo / "manifest.jsonl").read_text("utf-8").splitlines()
+    ]
+    manifest.write_text(
+        "".join(json.dumps({**r, "reference": []}) + "\n" for r in records),
+        encoding="utf-8",
+    )
+    result = _run(
+        "sweep", "--manifest", manifest,
+        "--model-config", demo / "model.json", "--out", tmp_path / "sweep",
+    )
+    assert result.exit_code == 1
+    assert "sweep failed: no scored utterances at k=3 (fixed)" in _all_output(
+        result
+    )
+
+
 def test_offline_command_scores_and_dumps(demo, tmp_path):
     out_path = tmp_path / "hyps.jsonl"
     result = _run(
@@ -252,6 +283,23 @@ def test_remote_eval_against_a_served_model(demo, tmp_path):
         proc.terminate()
         proc.wait(timeout=10)
         proc.stdout.close()
+
+
+def test_serve_on_a_port_in_use_exits_2(demo):
+    with socket.socket() as taken:
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        port = taken.getsockname()[1]
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "simulharness.cli", "serve",
+                "--model-config", str(demo / "model.json"),
+                "--port", str(port),
+            ],
+            capture_output=True, text=True, timeout=60,
+        )
+    assert proc.returncode == 2, proc.stderr
+    assert f"cannot bind 127.0.0.1:{port}" in proc.stderr
 
 
 def test_remote_eval_unreachable_server_exits_1(demo, tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     EXPANDING_LEXICON,
+    TINY_LEXICON,
     aligned_utterance,
     expected_waitk_delays,
     make_model,
@@ -19,6 +20,7 @@ from simulharness import (
     DetectionKind,
     DetectionResult,
     Event,
+    LexiconMockModel,
     ModelInterface,
     PolicyConfig,
     SimulEngine,
@@ -228,6 +230,33 @@ def test_eos_pressure_with_forced_read_stalls_until_the_end():
                           avoid_eos_while_reading=False)
     hyp, events = run_simultaneous(model, utt, config)
     assert hyp.words == ()
+    assert all(e.kind is ActionKind.READ for e in events)
+
+
+class _ScoresOnlyEos(LexiconMockModel):
+    """The tiny mock, except that its decoder scores every token but EOS
+    as ``-inf``: a premature EOS has no finite runner-up."""
+
+    def __init__(self) -> None:
+        super().__init__(TINY_LEXICON)
+
+    def decoder_step(self, states, target_prefix_ids):
+        scores = np.full(len(self.target_vocab), -np.inf)
+        scores[self.eos_id] = 0.0
+        return scores
+
+
+def test_eos_without_a_finite_alternative_forces_a_read():
+    """Substitution has nothing to substitute, so every premature EOS is
+    a READ; the first EOS after the source ends is accepted, and no
+    ``-inf`` token is ever emitted."""
+    model = _ScoresOnlyEos()
+    utt = aligned_utterance(model, ["da", "esel", "geht", "haus"])
+    config = PolicyConfig(k=1, detection="adaptive")
+    assert config.effective_avoid_eos
+    hyp, events = run_simultaneous(model, utt, config)
+    assert hyp.words == () and hyp.tokens == ()
+    assert len(events) == len(segment_stream(utt, config.step_ms))
     assert all(e.kind is ActionKind.READ for e in events)
 
 

@@ -21,10 +21,13 @@ from helpers import (
     make_model,
 )
 from simulharness import (
+    DelaySequence,
     PolicyConfig,
     ServiceError,
+    SimulEngine,
     StreamTranslationServer,
     WireMessage,
+    average_lagging,
     client_evaluate,
     evaluate_corpus,
     run_simultaneous,
@@ -170,6 +173,35 @@ def test_realtime_pacing_still_translates(server):
         wall >= ideal
         for wall, ideal in zip(hyp.wall_delays_ms, hyp.ideal_delays_ms)
     )
+
+
+def test_fast_remote_wall_delays_are_the_server_engines(monkeypatch):
+    """Under fast pacing a word's wall delay is the one the server's engine
+    logged, so remote computation-aware latency charges the model's
+    compute."""
+    engine_walls = []
+    result = SimulEngine.result
+
+    def recording(self):
+        hypothesis, events = result(self)
+        engine_walls.append(hypothesis.wall_delays_ms)
+        return hypothesis, events
+
+    monkeypatch.setattr(SimulEngine, "result", recording)
+    model = make_model(compute_delay_ms=5)
+    utt = aligned_utterance(model, ["da", "esel", "geht"])
+    with StreamTranslationServer(model) as handle:
+        remote, _ = stream_utterance(
+            handle.address, utt, PolicyConfig(k=1), timeout_s=10
+        )
+    assert len(remote.words) == 3
+    assert engine_walls == [remote.wall_delays_ms]
+    delays = DelaySequence(
+        ideal_ms=remote.ideal_delays_ms, wall_ms=remote.wall_delays_ms,
+        source_ms=float(utt.duration_ms),
+        hyp_len=len(remote.words), ref_len=len(utt.reference),
+    )
+    assert average_lagging(delays, True) > average_lagging(delays)
 
 
 def test_unknown_pacing_is_rejected(server):

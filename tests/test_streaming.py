@@ -205,6 +205,29 @@ def test_collapsing_in_slices_equals_collapsing_the_whole(convention, steps):
         assert result == adaptive_word_count(whole, convention)
 
 
+def test_detector_argmaxes_each_row_once(monkeypatch):
+    """A long posterior fed a chunk at a time passes each of its rows
+    through ``numpy.argmax`` exactly once."""
+    rows_seen = []
+    argmax = np.argmax
+
+    def counting(scores, *args, **kwargs):
+        rows_seen.append(np.shape(scores)[0])
+        return argmax(scores, *args, **kwargs)
+
+    rng = np.random.default_rng(0)
+    path = rng.choice([0, 0, 1, 2, 3, 4, 5], size=3000).tolist()
+    detector = AdaptiveDetector(Convention.BPE_SUFFIX)
+    monkeypatch.setattr(np, "argmax", counting)
+    for first in range(0, len(path), 28):
+        result = detector.update(_posterior(path[first:first + 28]), first)
+    monkeypatch.undo()
+    assert sum(rows_seen) == len(path)
+    whole = ctc_greedy_collapse(_posterior(path))
+    assert result == adaptive_word_count(whole, Convention.BPE_SUFFIX)
+    assert result.word_count > 500
+
+
 def test_detector_rejects_a_posterior_that_skips_frames():
     detector = AdaptiveDetector(Convention.BPE_SUFFIX)
     detector.update(_posterior([1, 0]), 0)

@@ -22,7 +22,6 @@ encodes only the frames a chunk adds.
 
 from __future__ import annotations
 
-import json
 import math
 import random
 import time
@@ -34,7 +33,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Convention, Frame, Utterance, subword_tokens
+from .core import Convention, Frame, Utterance, decode_json, subword_tokens
 from .detection import CtcPosterior
 
 #: Feature amplitude marking the final frame of a word (interior frames
@@ -307,7 +306,7 @@ def load_model_config(path: str | Path) -> LexiconMockModel:
     integer or null), ``eos_early`` (a boolean), ``compute_delay_ms`` (a
     non-negative number).  A value of the wrong type raises ``ValueError``.
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    data = decode_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or "lexicon" not in data:
         raise ValueError("model config must be an object with a 'lexicon'")
     known = {

@@ -4,13 +4,15 @@ The engine alternates two actions.  READ consumes the next fixed-duration
 chunk of source frames and has the model encode what the chunk added
 (``encode_more``); adaptive detection then collapses only the posterior rows
 the model returned and counts words from the last complete one on.  WRITE
-asks the decoder for tokens until exactly one more complete target word
-exists, emits it, and records when it happened -- both in source time (how
-much audio had been read) and on a wall clock that adds the model compute
-time accumulated so far, so computation-aware delays dominate ideal ones by
-construction.  Target words are tracked the same way, from the first token
-after the last complete word, so a READ or WRITE costs what it adds rather
-than what came before.
+asks the decoder for tokens until one more complete target word exists and
+ends in one of three ways: a word, a READ forced by a premature EOS, or the
+end of the target (EOS, or the per-word token budget), which emits the word
+a trailing partial resolves to, if any.  Each word is logged with when it
+happened -- both in source time (how much audio had been read) and on a
+wall clock that adds the model compute time accumulated so far, so
+computation-aware delays dominate ideal ones by construction.  Target words
+are tracked the same way, from the first token after the last complete
+word, so a READ or WRITE costs what it adds rather than what came before.
 
 The decision rule: WRITE once the source is finished, or once the number of
 detected source words reaches ``k`` plus the number of words already emitted
@@ -101,12 +103,15 @@ class PolicyConfig:
     source_convention: Convention = Convention.BPE_SUFFIX
 
     def __post_init__(self) -> None:
-        if isinstance(self.detection, str):
-            object.__setattr__(self, "detection", DetectionKind(self.detection))
-        if isinstance(self.source_convention, str):
-            object.__setattr__(
-                self, "source_convention", Convention(self.source_convention)
-            )
+        for name, kind in (("detection", DetectionKind),
+                           ("source_convention", Convention)):
+            try:  # a member maps to itself, its value to the member
+                object.__setattr__(self, name, kind(getattr(self, name)))
+            except ValueError:
+                choices = " or ".join(repr(m.value) for m in kind)
+                raise ValueError(
+                    f"{name} must be {choices}, got {getattr(self, name)!r}"
+                ) from None
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             optional = self.__dataclass_fields__[name].default is None
@@ -186,16 +191,6 @@ class Event:
         )
 
 
-@dataclass(frozen=True)
-class WordOutcome:
-    """Result of one WRITE attempt."""
-
-    word: str | None
-    eos: bool
-    read_forced: bool = False
-    truncated: bool = False
-
-
 def decide(state: SimulState, config: PolicyConfig) -> ActionKind:
     """WRITE when the source is done or detection covers k + emitted words."""
     if state.source_finished:
@@ -203,19 +198,6 @@ def decide(state: SimulState, config: PolicyConfig) -> ActionKind:
     if state.detected.word_count >= config.k + state.emitted_words:
         return ActionKind.WRITE
     return ActionKind.READ
-
-
-def _flush_partial(state: SimulState, convention: Convention) -> str | None:
-    """The word a trailing partial resolves to once the sequence ends."""
-    complete = extend_word_spans(
-        state.target_words, state.target_tokens, convention
-    )
-    start = complete[-1][1] + 1 if complete else 0
-    flushed, _ = word_spans(state.target_tokens[start:], convention, eos=True)
-    words = complete + flushed
-    if len(words) > state.emitted_words:
-        return words[state.emitted_words][0]
-    return None
 
 
 class SimulRunError(RuntimeError):
@@ -246,6 +228,9 @@ class SimulEngine:
                 f"step_ms={config.step_ms} is not a multiple of the "
                 f"{frame_ms} ms frame duration"
             )
+        if (config.detection is DetectionKind.FIXED
+                and config.avg_word_ms < frame_ms):
+            raise ValueError("avg_word_ms must be at least one frame long")
         self._model = model
         self._config = config
         self._frame_ms = frame_ms
@@ -366,84 +351,73 @@ class SimulEngine:
             )
 
     def _drain_writes(self) -> list[Event]:
+        state = self._state
         first = len(self._events)
-        while not self._done and decide(self._state, self._config) is ActionKind.WRITE:
-            outcome = self._generate_word()
-            if outcome.word is not None:
-                self._state.emitted_words += 1
-                self._events.append(
-                    Event(
-                        ActionKind.WRITE,
-                        outcome.word,
-                        self._state.received_ms,
-                        self._wall_now(),
-                    )
-                )
-            if outcome.truncated:
-                self._truncated = True
-            if outcome.eos:
-                self._done = True
-            elif outcome.read_forced:
+        while not self._done and decide(state, self._config) is ActionKind.WRITE:
+            word = self._generate_word()
+            if word is None:
                 break
-            elif self._state.emitted_words >= self._cap:
+            state.emitted_words += 1
+            self._events.append(
+                Event(ActionKind.WRITE, word, state.received_ms, self._wall_now())
+            )
+            if not self._done and state.emitted_words >= self._cap:
                 logger.warning(
                     "hit the %d-word safety cap; forcing EOS", self._cap
                 )
-                self._truncated = True
-                self._trim_to_last_complete_word()
-                self._done = True
+                self._truncated = self._done = True
+                # drop a trailing partial so the tokens detokenize to the words
+                keep = state.target_words[-1][1] + 1
+                del state.target_tokens[keep:]
+                del state.target_token_ids[keep:]
         return self._events[first:]
 
-    def _generate_word(self) -> WordOutcome:
+    def _generate_word(self) -> str | None:
         """Run decoder steps until one more complete target word exists.
 
-        Appends committed tokens to the state; :meth:`_drain_writes` decides
-        what to do with the outcome.
+        Returns that word, appending its tokens to the state.  Returns
+        ``None`` when a premature EOS forces a READ.  When the target ends,
+        returns what :meth:`_end_target` gives.
         """
         model, state, config = self._model, self._state, self._config
         convention = model.target_convention
         appended = 0
-        while True:
-            words = extend_word_spans(
-                state.target_words, state.target_tokens, convention
-            )
-            if len(words) > state.emitted_words:
-                return WordOutcome(words[state.emitted_words][0], eos=False)
+        while len(extend_word_spans(
+            state.target_words, state.target_tokens, convention
+        )) <= state.emitted_words:
             if appended >= MAX_TOKENS_PER_WORD:
                 logger.warning("word generation hit the per-write token cap")
-                return WordOutcome(
-                    _flush_partial(state, convention), eos=True, truncated=True
-                )
+                self._truncated = True
+                return self._end_target()
             scores = self._timed(model.decoder_step, self._encoder_states,
                                  state.target_token_ids)
             next_id = int(np.argmax(scores))
             if next_id == model.eos_id:
                 if state.source_finished or not config.force_finish:
-                    return WordOutcome(
-                        _flush_partial(state, convention), eos=True
-                    )
+                    return self._end_target()
                 if not config.effective_avoid_eos:
-                    return WordOutcome(None, eos=False, read_forced=True)
+                    return None
                 masked = np.asarray(scores, dtype=float).copy()
                 masked[model.eos_id] = -np.inf
-                if masked.size < 2 or not np.isfinite(masked).any():
-                    return WordOutcome(None, eos=False, read_forced=True)
+                if not np.isfinite(masked).any():
+                    return None
                 next_id = int(np.argmax(masked))
             token = SubwordToken(model.target_vocab[next_id], convention)
             state.target_tokens.append(token)
             state.target_token_ids.append(next_id)
             appended += 1
+        return state.target_words[state.emitted_words][0]
 
-    def _trim_to_last_complete_word(self) -> None:
-        """Drop a trailing partial word so tokens detokenize to the words."""
-        words = extend_word_spans(
-            self._state.target_words,
-            self._state.target_tokens,
-            self._model.target_convention,
+    def _end_target(self) -> str | None:
+        """Mark the target ended; return the word its trailing partial
+        resolves to, or ``None`` when every token is in a complete word."""
+        self._done = True
+        words, tokens = self._state.target_words, self._state.target_tokens
+        start = words[-1][1] + 1 if words else 0
+        flushed, _ = word_spans(
+            tokens[start:], self._model.target_convention, eos=True
         )
-        keep = words[-1][1] + 1 if words else 0
-        del self._state.target_tokens[keep:]
-        del self._state.target_token_ids[keep:]
+        return flushed[0][0] if flushed else None
 
     def result(self) -> tuple[Hypothesis, list[Event]]:
         if not self._done:

@@ -219,6 +219,22 @@ def test_offline_command_rejects_a_model_config_of_the_wrong_type(
     assert "target_piece_len must be" in _all_output(result)
 
 
+def test_offline_command_rejects_a_model_config_nested_too_deeply(
+    demo, tmp_path
+):
+    model_path = tmp_path / "model.json"
+    depth = 100_000
+    model_path.write_text(
+        '{"lexicon": ' + "[" * depth + "]" * depth + "}", encoding="utf-8"
+    )
+    result = _run(
+        "offline", "--manifest", demo / "manifest.jsonl",
+        "--model-config", model_path,
+    )
+    assert result.exit_code == 2, _all_output(result)
+    assert "nested too deeply" in _all_output(result)
+
+
 def test_offline_command_isolates_any_model_exception(tmp_path, monkeypatch):
     model = DecoderFailsOnHaus()
     manifest = tmp_path / "manifest.jsonl"

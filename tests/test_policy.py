@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     EXPANDING_LEXICON,
+    DecoderFailsOnHaus,
     TINY_LEXICON,
     aligned_utterance,
     expected_waitk_delays,
@@ -57,6 +58,7 @@ def test_policy_config_coerces_strings_and_validates():
         ("max_target_words", 1.5), ("max_target_words", False),
         ("force_finish", "no"), ("force_finish", 1),
         ("avoid_eos_while_reading", 0),
+        ("detection", 5), ("detection", None), ("source_convention", 3),
     ],
 )
 def test_policy_config_rejects_settings_of_the_wrong_type(field, value):
@@ -337,6 +339,8 @@ def test_engine_rejects_misuse():
     config = PolicyConfig(k=1)
     with pytest.raises(ValueError, match="not a multiple"):
         SimulEngine(model, config, frame_ms=9)
+    with pytest.raises(ValueError, match="avg_word_ms"):
+        SimulEngine(model, PolicyConfig(avg_word_ms=5), frame_ms=10)
     engine = SimulEngine(model, config, frame_ms=10)
     with pytest.raises(ValueError, match="at least one frame"):
         engine.push_chunk([])
@@ -348,6 +352,22 @@ def test_engine_rejects_misuse():
     assert engine.finish_source() == []  # a no-op once the run is over
     with pytest.raises(RuntimeError, match="already finished"):
         engine.push_chunk(utt.frames[28:])
+
+
+def test_engine_guards_hold_after_a_failed_write():
+    model = DecoderFailsOnHaus()
+    utt = aligned_utterance(model, ["da", "haus"])
+    engine = SimulEngine(model, PolicyConfig(k=3), frame_ms=10)
+    assert engine.push_chunk(utt.frames) == []  # k=3 waits for the source
+    with pytest.raises(IndexError, match="decoder table"):
+        engine.finish_source()
+    assert not engine.done
+    with pytest.raises(RuntimeError, match="still in progress"):
+        engine.result()
+    with pytest.raises(RuntimeError, match="source already finished"):
+        engine.push_chunk(utt.frames)
+    with pytest.raises(RuntimeError, match="source already finished"):
+        engine.finish_source()
 
 
 def test_empty_source_yields_an_empty_hypothesis():

@@ -317,9 +317,12 @@ def test_protocol_violations_get_an_error_reply(server, lines, complaint):
         (_hello(config={"max_target_words": 1.5}), "config: max_target_words"),
         (_hello(frame_ms=10.9), "config: frame_ms must be positive integer"),
         (_hello(frame_ms=True), "config: frame_ms must be positive integer"),
+        (_hello(config={"detection": 5}), "config: detection must be"),
+        (_hello(config={"avg_word_ms": 5}), "config: avg_word_ms"),
     ],
     ids=["k-float", "k-bool", "force_finish-str", "max_target_words-float",
-         "frame_ms-float", "frame_ms-bool"],
+         "frame_ms-float", "frame_ms-bool", "detection-int",
+         "avg_word_ms-under-a-frame"],
 )
 def test_settings_of_the_wrong_type_get_a_config_error(
     server, hello, complaint

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from itertools import chain
 from typing import Sequence
 
 MAX_NGRAM_ORDER = 4
@@ -34,36 +35,45 @@ def _floored_log(value: float) -> float:
     return _LOG_FLOOR if value == 0.0 else math.log(value)
 
 
+#: the ``13a`` symbol, period/comma and dash rules, in the order applied
+_RULES_13A = tuple(
+    (re.compile(pattern), replacement)
+    for pattern, replacement in (
+        (r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", r" \1 "),
+        (r"([^0-9])([\.,])", r"\1 \2 "),
+        (r"([\.,])([^0-9])", r" \1 \2"),
+        (r"([0-9])(-)", r"\1 \2 "),
+    )
+)
+
+
 def tokenize_13a(line: str) -> list[str]:
     """Normalize a segment with the ``13a`` rules and split on whitespace.
 
     The rules: drop ``<skipped>``, unescape the four XML entities, pad a set
     of ASCII symbol ranges with spaces, split periods and commas unless they
-    sit between digits, and split a dash that follows a digit.
+    sit between digits, and split a dash that follows a digit.  Splitting
+    collapses every whitespace run, newlines included.
     """
     norm = line
     norm = norm.replace("<skipped>", "")
-    norm = norm.replace("\n", " ")
     norm = norm.replace("&quot;", '"')
     norm = norm.replace("&amp;", "&")
     norm = norm.replace("&lt;", "<")
     norm = norm.replace("&gt;", ">")
 
     norm = f" {norm} "
-    norm = re.sub(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", r" \1 ", norm)
-    norm = re.sub(r"([^0-9])([\.,])", r"\1 \2 ", norm)
-    norm = re.sub(r"([\.,])([^0-9])", r" \1 \2", norm)
-    norm = re.sub(r"([0-9])(-)", r"\1 \2 ", norm)
-    norm = re.sub(r"\s+", " ", norm)
-    return norm.strip().split()
+    for pattern, replacement in _RULES_13A:
+        norm = pattern.sub(replacement, norm)
+    return norm.split()
 
 
 def _ngram_counts(tokens: Sequence[str]) -> Counter:
-    counts: Counter = Counter()
-    for order in range(1, MAX_NGRAM_ORDER + 1):
-        for start in range(len(tokens) - order + 1):
-            counts[tuple(tokens[start : start + order])] += 1
-    return counts
+    """Counts of every n-gram of orders 1..4, as token tuples."""
+    return Counter(chain.from_iterable(
+        zip(*(tokens[i:] for i in range(order)))
+        for order in range(1, MAX_NGRAM_ORDER + 1)
+    ))
 
 
 def corpus_bleu(

@@ -25,7 +25,6 @@ import click
 
 from . import __version__
 from .core import ManifestError, Utterance, load_manifest
-from .detection import DetectionKind
 from .harness import (
     CorpusResult,
     SweepSpec,
@@ -239,9 +238,7 @@ def sweep_command(
     try:
         spec = SweepSpec(
             k_values=k_values or (3, 5, 7, 9, 11),
-            strategies=tuple(
-                DetectionKind(s) for s in (strategies or ("fixed", "adaptive"))
-            ),
+            strategies=strategies or ("fixed", "adaptive"),
             runs_per_point=runs,
             base_config=base,
         )

@@ -352,15 +352,19 @@ class ManifestError(ValueError):
 def decode_json(text: str | bytes) -> object:
     """``json.loads``, with too deep a nesting -- a ``RecursionError`` in the
     stdlib parser, which no ``ValueError`` handler catches -- and any other
-    ``ValueError`` it raises reported as a decode error."""
+    ``ValueError`` it raises reported as a decode error.  Only a syntax
+    error names a position: the parser checks none for the other two."""
     try:
         return json.loads(text)
-    except RecursionError:
-        raise json.JSONDecodeError("nested too deeply", "", 0) from None
     except json.JSONDecodeError:
         raise
+    except RecursionError:
+        msg = "nested too deeply"
     except ValueError as exc:  # an integer of more than 4,300 digits
-        raise json.JSONDecodeError(str(exc), "", 0) from None
+        msg = str(exc)
+    error = json.JSONDecodeError(msg, "", 0)
+    error.args = (msg,)  # so its message names no position
+    raise error
 
 
 _REQUIRED_FIELDS = ("id", "frames", "frame_ms", "reference")

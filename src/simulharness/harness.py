@@ -8,14 +8,17 @@ Local, remote and offline runs are all scored by the same two functions:
 from __future__ import annotations
 
 import csv
+import gc
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean
 from typing import Callable, Sequence
 
-from .core import Hypothesis, Utterance
-from .detection import DetectionKind
+import numpy as np
+
+from .core import Convention, Frame, Hypothesis, Utterance
+from .detection import CtcPosterior, DetectionKind
 from .metrics import DelaySequence, MetricsReport, aggregate_metrics
 from .model import ModelInterface
 from .policy import Event, PolicyConfig, SimulRunError
@@ -128,7 +131,12 @@ def evaluate_corpus(
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Grid of policy points to evaluate."""
+    """Grid of policy points to evaluate.
+
+    ``grid`` holds one :class:`PolicyConfig` per point, strategy by
+    strategy with k ascending; building it checks each k and coerces each
+    strategy as :class:`PolicyConfig` does.  A grid point may not repeat.
+    """
 
     k_values: tuple[int, ...] = (3, 5, 7, 9, 11)
     strategies: tuple[DetectionKind, ...] = (
@@ -137,16 +145,40 @@ class SweepSpec:
     )
     runs_per_point: int = 1
     base_config: PolicyConfig = PolicyConfig()
+    grid: tuple[PolicyConfig, ...] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "k_values", tuple(sorted(int(k) for k in self.k_values))
-        )
-        object.__setattr__(self, "strategies", tuple(self.strategies))
-        if not self.k_values or any(k < 1 for k in self.k_values):
-            raise ValueError("k_values must be positive and non-empty")
+        if not isinstance(self.base_config, PolicyConfig):
+            raise ValueError(
+                f"base_config must be a PolicyConfig, got {self.base_config!r}"
+            )
+        if type(self.runs_per_point) is not int:
+            raise ValueError(
+                f"runs_per_point must be int, got {self.runs_per_point!r}"
+            )
         if self.runs_per_point < 1:
             raise ValueError("runs_per_point must be at least 1")
+        k_values = tuple(sorted(self.k_values))
+        if not k_values or not self.strategies:
+            raise ValueError("k_values and strategies must not be empty")
+        try:
+            grid = tuple(
+                replace(self.base_config, k=k, detection=strategy)
+                for strategy in self.strategies
+                for k in k_values
+            )
+        except ValueError as exc:
+            raise ValueError(f"k_values or strategies: {exc}") from None
+        strategies = tuple(c.detection for c in grid[::len(k_values)])
+        for name, values in (("k_values", k_values),
+                             ("strategies", strategies)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{name} must be distinct, got {values!r}")
+        object.__setattr__(self, "k_values", k_values)
+        object.__setattr__(self, "strategies", strategies)
+        object.__setattr__(self, "grid", grid)
 
 
 @dataclass(frozen=True)
@@ -162,6 +194,88 @@ class CurvePoint:
     laal_ca_ms: float
 
 
+class _Prefix:
+    """One source prefix in a :class:`_SharedEncoder`: the model's encoding
+    of it, the compute it took, and the prefixes one chunk longer."""
+
+    __slots__ = ("states", "posterior", "ms", "children")
+
+    def __init__(
+        self, states: object, posterior: CtcPosterior | None, ms: float
+    ) -> None:
+        self.states, self.posterior, self.ms = states, posterior, ms
+        self.children: dict[tuple[int, ...], _Prefix] = {}
+
+
+class _SharedEncoder(ModelInterface):
+    """``model`` with each source prefix encoded once, for all the grid
+    points of one sweep repeat.
+
+    The encodings form a trie: the root is the empty prefix, and a child
+    extends its parent by one chunk, keyed by the identities of the chunk's
+    frames (unique while the sweep holds the utterances).  The engine gets
+    the trie node as its encoder states, so a hit needs the whole path to
+    match -- never just the model's own states object, which a model may
+    return for more than one prefix.  The model must not change a node's
+    states or posterior once it returned them.  A read of a node is
+    charged the compute its encode took, never the lookup; a failed encode
+    stores nothing, so every point that needs it fails on its own.
+    """
+
+    def __init__(self, model: ModelInterface) -> None:
+        self._model = model
+        self._root = _Prefix(None, None, 0.0)
+
+    @property
+    def target_vocab(self) -> tuple[str, ...]:
+        return self._model.target_vocab
+
+    @property
+    def eos_id(self) -> int:
+        return self._model.eos_id
+
+    @property
+    def target_convention(self) -> Convention:
+        return self._model.target_convention
+
+    def encode_prefix(
+        self, frames: Sequence[Frame]
+    ) -> tuple[_Prefix, CtcPosterior]:
+        return self.encode_more(None, frames, 0)
+
+    def encode_more(
+        self, states: _Prefix | None, frames: Sequence[Frame], start: int
+    ) -> tuple[_Prefix, CtcPosterior]:
+        return self.timed_encode(states, frames, start)[:2]
+
+    def timed_encode(
+        self, states: _Prefix | None, frames: Sequence[Frame], start: int
+    ) -> tuple[_Prefix, CtcPosterior, float]:
+        parent = states or self._root
+        key = tuple(map(id, frames[start:]))
+        node = parent.children.get(key)
+        if node is None:
+            # The memo keeps what the model allocates, so the cyclic
+            # collector would run inside timed encodes, and its pauses
+            # would be charged to every point: hold it off until after.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                encoded = self._model.timed_encode(
+                    parent.states, frames, start
+                )
+            finally:
+                if collecting:
+                    gc.enable()
+            node = parent.children[key] = _Prefix(*encoded)
+        return node, node.posterior, node.ms
+
+    def decoder_step(
+        self, states: _Prefix, target_prefix_ids: Sequence[int]
+    ) -> np.ndarray:
+        return self._model.decoder_step(states.states, target_prefix_ids)
+
+
 def sweep(
     utterances: Sequence[Utterance],
     model: ModelInterface,
@@ -175,43 +289,48 @@ def sweep(
     ideal-latency numbers are deterministic per point; the computation-aware
     numbers are averaged over ``runs_per_point`` repeats, with each run's
     values also kept (written to ``runs/<n>/curve.csv`` under ``out_dir``).
+
+    Nothing on the source side depends on the point, so each repeat makes
+    one source pass: every source prefix is encoded once, by the first
+    point that reads it, and handed to every later point.  This relies on
+    the model being deterministic and on its encode calls leaving the
+    states and posteriors they were given or returned before unchanged
+    (see :meth:`ModelInterface.encode_more`).  Each point is still charged
+    the encode time it would have spent alone -- the time the shared
+    encode took -- so the computation-aware numbers stay per point, and
+    each repeat times its own encodes.
+
+    A repeat holds the states and posterior of every source prefix in the
+    corpus until its last point.  For a model whose states or posterior
+    cover the whole prefix, as with the default ``encode_more``, that is
+    quadratic in utterance length.  One repeat's encodings are alive at a
+    time, and nothing outlives the call.
     """
     utterances = list(utterances)
-    points: list[CurvePoint] = []
-    per_run: list[list[CurvePoint]] = [
-        [] for _ in range(spec.runs_per_point)
-    ]
-    for strategy in spec.strategies:
-        for k in spec.k_values:
-            config = replace(spec.base_config, k=k, detection=strategy)
-            reports = []
-            for _ in range(spec.runs_per_point):
-                reports.append(
-                    evaluate_corpus(utterances, model, config).report
-                )
-            first = reports[0]
-            if first.laal_ms is None:
+    per_run: list[list[CurvePoint]] = []
+    for _ in range(spec.runs_per_point):
+        shared = _SharedEncoder(model)
+        run_points = []
+        for config in spec.grid:
+            report = evaluate_corpus(utterances, shared, config).report
+            if report.laal_ms is None:
                 raise SimulRunError(
-                    f"no scored utterances at k={k} ({strategy.value})"
+                    f"no scored utterances at k={config.k} "
+                    f"({config.detection.value})"
                 )
-            for run_index, report in enumerate(reports):
-                per_run[run_index].append(
-                    CurvePoint(
-                        strategy, k, report.bleu, report.al_ms,
-                        report.laal_ms, report.al_ca_ms, report.laal_ca_ms,
-                    )
-                )
-            points.append(
-                CurvePoint(
-                    strategy=strategy,
-                    k=k,
-                    bleu=first.bleu,
-                    al_ms=first.al_ms,
-                    laal_ms=first.laal_ms,
-                    al_ca_ms=fmean(r.al_ca_ms for r in reports),
-                    laal_ca_ms=fmean(r.laal_ca_ms for r in reports),
-                )
-            )
+            run_points.append(CurvePoint(
+                config.detection, config.k, report.bleu, report.al_ms,
+                report.laal_ms, report.al_ca_ms, report.laal_ca_ms,
+            ))
+        per_run.append(run_points)
+    points = [
+        replace(
+            runs[0],
+            al_ca_ms=fmean(p.al_ca_ms for p in runs),
+            laal_ca_ms=fmean(p.laal_ca_ms for p in runs),
+        )
+        for runs in zip(*per_run)
+    ]
     if out_dir is not None:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)

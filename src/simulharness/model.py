@@ -6,9 +6,14 @@ the encoder states of the shorter prefix and returns new states plus a CTC
 posterior over the source vocabulary for the *tail* of the prefix.  Rows
 before that tail are final, so detection never looks at them again.
 ``decoder_step`` scores the next target token given those states and the
-committed target prefix.  A model that cannot encode incrementally implements
-only ``encode_prefix``; the default ``encode_more`` re-encodes the whole
-prefix, and its posterior then covers every frame.
+committed target prefix.  The engine reaches ``encode_more`` through
+``timed_encode``, which also returns the compute time to charge for it.  A
+model that cannot encode incrementally implements only ``encode_prefix``; the
+default ``encode_more`` re-encodes the whole prefix, and its posterior then
+covers every frame.  Both encode calls must be functions of their
+arguments: a sweep hands one prefix's states and posterior to every grid
+point, so a model must not change the states it is given, nor any states
+or posterior it returned before (a model with a cache updates a copy).
 
 :class:`LexiconMockModel` implements the contract with a word-for-word
 dictionary so every behavior downstream -- detection, scheduling, latency,
@@ -90,8 +95,20 @@ class ModelInterface(ABC):
         ``states`` are the ones returned for ``frames[:start]`` (``None`` when
         ``start`` is 0).  The posterior may cover just the frames whose rows
         are new or changed; this default re-encodes the whole prefix.
+        Return new states: ``states`` and every earlier result may be read
+        again (a sweep reads them at every grid point), so they must not
+        change.
         """
         return self.encode_prefix(frames)
+
+    def timed_encode(
+        self, states: object, frames: Sequence[Frame], start: int
+    ) -> tuple[object, CtcPosterior, float]:
+        """:meth:`encode_more`, plus the milliseconds of compute to charge
+        for it -- the engine adds them to the computation-aware clock."""
+        begin = time.perf_counter()
+        states, posterior = self.encode_more(states, frames, start)
+        return states, posterior, (time.perf_counter() - begin) * 1000.0
 
     @abstractmethod
     def decoder_step(

@@ -335,9 +335,10 @@ class SimulEngine:
 
     def _refresh_detection(self, start: int) -> None:
         """Encode the frames from ``start`` on and update detection."""
-        states, posterior = self._timed(
-            self._model.encode_more, self._encoder_states, self._frames, start
+        states, posterior, ms = self._model.timed_encode(
+            self._encoder_states, self._frames, start
         )
+        self._compute_ms += ms
         self._encoder_states = states
         if self._detector is None:
             self._state.detected = fixed_word_count(

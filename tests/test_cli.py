@@ -158,6 +158,17 @@ def test_sweep_rejects_zero_runs(demo, tmp_path):
     assert "runs_per_point must be at least 1" in _all_output(result)
 
 
+def test_sweep_rejects_a_repeated_k(demo, tmp_path):
+    result = _run(
+        "sweep", "--manifest", demo / "manifest.jsonl",
+        "--model-config", demo / "model.json",
+        "--k", 3, "--k", 3, "--out", tmp_path / "sweep",
+    )
+    assert result.exit_code == 2, _all_output(result)
+    assert "k_values must be distinct" in _all_output(result)
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_with_nothing_to_score_fails(demo, tmp_path):
     manifest = tmp_path / "unreferenced.jsonl"
     records = [
@@ -222,17 +233,24 @@ def test_offline_command_rejects_a_model_config_of_the_wrong_type(
 def test_offline_command_rejects_a_model_config_nested_too_deeply(
     demo, tmp_path
 ):
-    model_path = tmp_path / "model.json"
+    """Neither a nesting too deep nor an integer too long has a position
+    to report; a syntax error keeps its real one."""
     depth = 100_000
-    model_path.write_text(
-        '{"lexicon": ' + "[" * depth + "]" * depth + "}", encoding="utf-8"
-    )
-    result = _run(
-        "offline", "--manifest", demo / "manifest.jsonl",
-        "--model-config", model_path,
-    )
-    assert result.exit_code == 2, _all_output(result)
-    assert "nested too deeply" in _all_output(result)
+    cases = {
+        '{"lexicon": ' + "[" * depth + "]" * depth + "}": "nested too deeply",
+        '{"lexicon": ' + "9" * 5000 + "}": "4300 digits",
+        '{"lexicon":\n  {"da" "there"}}': "line 2 column 9 (char 20)",
+    }
+    model_path = tmp_path / "model.json"
+    for text, message in cases.items():
+        model_path.write_text(text, encoding="utf-8")
+        result = _run(
+            "offline", "--manifest", demo / "manifest.jsonl",
+            "--model-config", model_path,
+        )
+        assert result.exit_code == 2, _all_output(result)
+        assert message in _all_output(result)
+        assert "char 0" not in _all_output(result)
 
 
 def test_offline_command_isolates_any_model_exception(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import copy
+import gc
 import json
 
 import pytest
@@ -16,20 +18,25 @@ from simulharness import (
     CurvePoint,
     DelaySequence,
     DetectionKind,
+    LexiconMockModel,
     MetricsReport,
+    ModelInterface,
     PolicyConfig,
     SimulRunError,
     SweepSpec,
+    Utterance,
     aggregate_metrics,
     evaluate_corpus,
     offline_greedy_translate,
     read_curve_csv,
     read_event_log,
     run_simultaneous,
+    segment_stream,
     sweep,
     write_curve_csv,
     write_eval_outputs,
 )
+from simulharness import harness
 from simulharness.harness import evaluate_utterance, score_results
 
 
@@ -196,7 +203,30 @@ def test_sweep_spec_validation():
         SweepSpec(k_values=(0, 3))
     with pytest.raises(ValueError, match="runs_per_point"):
         SweepSpec(runs_per_point=0)
+    # PolicyConfig checks each grid point: exact ints, no float, no bool
+    for bad in ((3.7,), (True, 3)):
+        with pytest.raises(ValueError, match="k_values or strategies: k must"):
+            SweepSpec(k_values=bad)
+    for bad in (1.5, True):
+        with pytest.raises(ValueError, match="runs_per_point must be int"):
+            SweepSpec(runs_per_point=bad)
+    with pytest.raises(ValueError, match="k_values must be distinct"):
+        SweepSpec(k_values=(3, 3))
+    with pytest.raises(ValueError, match="strategies must not be empty"):
+        SweepSpec(strategies=())
+    with pytest.raises(ValueError, match="detection must be 'fixed' or"):
+        SweepSpec(strategies=("fast",))
+    with pytest.raises(ValueError, match="strategies must be distinct"):
+        SweepSpec(strategies=("fixed", DetectionKind.FIXED))
+    with pytest.raises(ValueError, match="base_config must be a PolicyConfig"):
+        SweepSpec(base_config={"k": 3})
     assert SweepSpec(k_values=(5, 1, 3)).k_values == (1, 3, 5)
+    # a strategy's value is coerced to its member, so the curve writes
+    spec = SweepSpec(k_values=(5, 1), strategies=("adaptive", "fixed"))
+    assert spec.strategies == (DetectionKind.ADAPTIVE, DetectionKind.FIXED)
+    assert [(c.detection.value, c.k) for c in spec.grid] == [
+        ("adaptive", 1), ("adaptive", 5), ("fixed", 1), ("fixed", 5)
+    ]
 
 
 def test_sweep_fails_loudly_when_nothing_scores():
@@ -205,6 +235,267 @@ def test_sweep_fails_loudly_when_nothing_scores():
     object.__setattr__(utt, "reference", ())
     with pytest.raises(SimulRunError, match="no scored utterances"):
         sweep([utt], model, SweepSpec(k_values=(1,)))
+
+
+# ---------------------------------------------------------------------------
+# One shared encoding per sweep repeat
+# ---------------------------------------------------------------------------
+
+
+class _CountingModel(LexiconMockModel):
+    """The tiny mock, counting the chunks it is asked to encode."""
+
+    def __init__(self) -> None:
+        super().__init__(TINY_LEXICON)
+        self.encodes = 0
+
+    def encode_more(self, states, frames, start):
+        self.encodes += 1
+        return super().encode_more(states, frames, start)
+
+
+class _ShortWindowReencoder(LexiconMockModel):
+    """The tiny mock seen only through ``encode_prefix`` (the default
+    ``encode_more`` re-encodes the whole prefix), deaf past frame 60, and
+    returning one states object for every prefix that heard the same
+    words.  So the states of a prefix and one chunk do not follow from the
+    shorter prefix's states and that chunk."""
+
+    WINDOW = 60
+
+    def __init__(self) -> None:
+        super().__init__(TINY_LEXICON)
+        self._interned = {}
+
+    def encode_more(self, states, frames, start):
+        return ModelInterface.encode_more(self, states, frames, start)
+
+    def encode_prefix(self, frames):
+        silence = (0.0,) * len(self.source_vocab)
+        heard = list(frames[: self.WINDOW])
+        heard += [silence] * (len(frames) - len(heard))
+        states, posterior = super().encode_prefix(heard)
+        return self._interned.setdefault(states, states), posterior
+
+
+def _sweep_evaluations(monkeypatch, utts, model, spec):
+    """Sweep; return the curve and the (config, result) of every
+    evaluation the sweep made, in order."""
+    seen = []
+    evaluate = harness.evaluate_corpus
+
+    def recording(utterances, model, config):
+        result = evaluate(utterances, model, config)
+        seen.append((config, result))
+        return result
+
+    monkeypatch.setattr(harness, "evaluate_corpus", recording)
+    return sweep(utts, model, spec), seen
+
+
+def _outputs(result):
+    return [
+        (
+            r.utt_id,
+            r.error,
+            [(e.kind, e.payload, e.ideal_ms) for e in r.events],
+            r.hypothesis and (
+                r.hypothesis.tokens, r.hypothesis.words,
+                r.hypothesis.ideal_delays_ms, r.hypothesis.truncated,
+            ),
+        )
+        for r in result.results
+    ]
+
+
+def _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec):
+    points, seen = _sweep_evaluations(monkeypatch, utts, model, spec)
+    assert len(seen) == len(points) * spec.runs_per_point
+    plain = {}
+    for config, result in seen:
+        key = (config.detection, config.k)
+        if key not in plain:
+            plain[key] = evaluate_corpus(utts, model, config)
+        assert _outputs(result) == _outputs(plain[key])
+    for p in points:
+        report = plain[(p.strategy, p.k)].report
+        assert (p.bleu, p.al_ms, p.laal_ms) == (
+            report.bleu, report.al_ms, report.laal_ms
+        )
+
+
+@pytest.mark.parametrize("eos_early", [False, True])
+def test_a_shared_encoding_leaves_every_point_as_a_plain_run(
+    monkeypatch, eos_early
+):
+    model = make_model(eos_early=eos_early)
+    utts = _corpus(model, n_utts=3, n_words=6) + [
+        # silence between words moves adaptive detection off the fixed one
+        aligned_utterance(
+            model, ["da", "esel", "geht"], gaps_ms=[0, 560, 280, 840],
+            utt_id="gappy",
+        )
+    ]
+    # the mock's early EOS ends the target once the source is read, so it
+    # is substituted at every point and k stays under the shortest source
+    base = PolicyConfig(avoid_eos_while_reading=True if eos_early else None)
+    k_values = (1, 2) if eos_early else (1, 2, 4, 7)
+    spec = SweepSpec(k_values=k_values, runs_per_point=2, base_config=base)
+    _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+
+
+def test_a_sweep_encodes_each_chunk_once_per_repeat():
+    model = _CountingModel()
+    utts = _corpus(model, n_utts=3, n_words=5)
+    config = SweepSpec().base_config
+    n_chunks = sum(len(segment_stream(u, config.step_ms)) for u in utts)
+    spec = SweepSpec(k_values=(1, 3, 9), runs_per_point=3)
+    sweep(utts, model, spec)
+    assert model.encodes == n_chunks * spec.runs_per_point
+    # nothing outlives the call: a second sweep encodes all over again
+    sweep(utts, model, spec)
+    assert model.encodes == 2 * n_chunks * spec.runs_per_point
+
+
+def test_a_shared_encoding_is_charged_to_every_point():
+    """Each point waits for the encodes before each word, as it would on
+    its own: word i of an aligned utterance follows k + i - 1 READs, and
+    AL's window covers words 1..n-k+1."""
+    delay, n = 2.0, 6
+    model = make_model(compute_delay_ms=delay)
+    utts = _corpus(model, n_utts=2, n_words=n)
+    spec = SweepSpec(k_values=(1, 3, 5))
+    for p in sweep(utts, model, spec):
+        window = n - p.k + 1
+        reads = sum(p.k + i - 1 for i in range(1, window + 1)) / window
+        assert p.al_ca_ms - p.al_ms >= delay * reads
+
+
+def test_a_sweep_is_right_for_a_model_that_shares_its_states(monkeypatch):
+    """Two prefixes share their states object and their next chunk's
+    frames, yet not what that chunk makes of them: a memo keyed on the
+    states would hand the second the first one's encoding."""
+    model = _ShortWindowReencoder()
+    heard = aligned_utterance(model, ["da"], gaps_ms=[280, 0], utt_id="x")
+    silence = heard.frames[:28]
+    # the same frame objects, one silent chunk later: "da" ends past frame 60
+    late = Utterance(
+        "late", silence + heard.frames, reference=heard.reference
+    )
+    utts = [heard, late, aligned_utterance(model, ["ja", "hin"], utt_id="z")]
+    spec = SweepSpec(k_values=(1, 2))
+    _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+
+
+class _Cache:
+    """Mutable encoder states: the words heard so far and their targets."""
+
+    visible_words = target_ids = ()
+
+
+class _CachingModel(LexiconMockModel):
+    """The tiny mock keeping its states in a cache.  With ``in_place`` it
+    extends the cache it is given, which the model contract forbids;
+    without, it extends a copy."""
+
+    def __init__(self, in_place) -> None:
+        super().__init__(TINY_LEXICON)
+        self.in_place = in_place
+
+    def encode_more(self, states, frames, start):
+        tail, posterior = super().encode_more(None, frames, start)
+        cache = states or _Cache()
+        if not self.in_place:
+            cache = copy.copy(cache)
+        cache.visible_words += tail.visible_words
+        cache.target_ids += tail.target_ids
+        return cache, posterior
+
+
+def test_a_sweep_relies_on_encode_more_leaving_earlier_states_alone(
+    monkeypatch,
+):
+    """``encode_more`` must return new states, never update the ones it is
+    given.  A cache updated in place works in a plain run, which never
+    looks back; in a sweep, a later point reads an earlier prefix's states
+    after they heard the rest of the source, and writes words early."""
+    model = _CachingModel(in_place=False)
+    utts = [
+        aligned_utterance(
+            model, ["da", "esel", "geht"], gaps_ms=[0, 560, 280, 840],
+            utt_id="gappy",
+        ),
+        aligned_utterance(model, ["ja", "hin", "da", "haus"], utt_id="b"),
+    ]
+    spec = SweepSpec(k_values=(1, 2, 3), strategies=("fixed",))
+    _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+
+    model = _CachingModel(in_place=True)
+    points = sweep(utts, model, spec)
+    plain = [evaluate_corpus(utts, model, c).report for c in spec.grid]
+    # the first point reads each prefix's states before they change
+    assert points[0].al_ms == plain[0].al_ms
+    for point, report in zip(points[1:], plain[1:]):
+        assert point.al_ms < report.al_ms
+
+
+class _EncoderFailsOnHaus(_CountingModel):
+    def encode_more(self, states, frames, start):
+        if any(frame[self.source_word_index["haus"]] for frame in frames):
+            raise RuntimeError("encoder overflow")
+        return super().encode_more(states, frames, start)
+
+
+def test_a_failed_encode_fails_its_utterance_at_every_point(monkeypatch):
+    model = _EncoderFailsOnHaus()
+    utts = [
+        aligned_utterance(model, ["da", "esel", "geht"], utt_id="a"),
+        aligned_utterance(model, ["ja", "haus", "da"], utt_id="bad"),
+        aligned_utterance(model, ["hin", "ja", "da"], utt_id="c"),
+    ]
+    spec = SweepSpec(k_values=(1, 4), runs_per_point=2)
+    _, seen = _sweep_evaluations(monkeypatch, utts, model, spec)
+    assert len(seen) == 8
+    for _, result in seen:
+        assert result.failures == ("bad",)
+        (failed,) = (r for r in result.results if r.error is not None)
+        assert failed.error == "encoder overflow"
+        # the chunk read before the failure is in its partial log
+        assert [e.kind for e in failed.events][:1] == [ActionKind.READ]
+
+
+class _CollectorProbe(_EncoderFailsOnHaus):
+    """Records whether the cyclic collector was on during each encode."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.collecting = []
+
+    def encode_more(self, states, frames, start):
+        self.collecting.append(gc.isenabled())
+        return super().encode_more(states, frames, start)
+
+
+def test_a_shared_encode_holds_off_the_collector_and_restores_it():
+    """The memo keeps what each encode allocates, so a collection set off
+    inside a timed encode would be charged to every point.  The caller's
+    setting comes back, after a failed encode too."""
+    model = _CollectorProbe()
+    utts = [
+        aligned_utterance(model, ["da", "esel"], utt_id="a"),
+        aligned_utterance(model, ["ja", "haus"], utt_id="bad"),
+    ]
+    spec = SweepSpec(k_values=(1, 2))
+    assert gc.isenabled()
+    sweep(utts, model, spec)
+    assert model.collecting and not any(model.collecting)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        sweep(utts, model, spec)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

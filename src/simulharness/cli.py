@@ -313,8 +313,8 @@ def offline_command(
 @click.option("--model-config", "model_path", required=True, type=_PATH_IN,
               help="JSON model configuration, served to every session.")
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", type=int, default=7070, show_default=True,
-              help="TCP port (0 picks a free one).")
+@click.option("--port", type=click.IntRange(0, 65535), default=7070,
+              show_default=True, help="TCP port (0 picks a free one).")
 def serve_command(model_path: Path, host: str, port: int) -> None:
     """Host the streaming engine behind the TCP wire protocol."""
     model = _load_model(model_path)
@@ -332,7 +332,7 @@ def serve_command(model_path: Path, host: str, port: int) -> None:
 
 @main.command("remote-eval")
 @click.option("--host", default="127.0.0.1", show_default=True)
-@click.option("--port", type=int, required=True)
+@click.option("--port", type=click.IntRange(1, 65535), required=True)
 @click.option("--manifest", "manifest_path", required=True, type=_PATH_IN,
               help="Line-delimited JSON corpus manifest.")
 @_point_options
@@ -340,7 +340,8 @@ def serve_command(model_path: Path, host: str, port: int) -> None:
 @click.option("--pacing", type=click.Choice(["fast", "realtime"]),
               default="fast", show_default=True,
               help="Send chunks back to back, or one per step of wall time.")
-@click.option("--timeout-s", type=float, default=30.0, show_default=True,
+@click.option("--timeout-s", type=click.FloatRange(min=0, min_open=True),
+              default=30.0, show_default=True,
               help="Socket timeout per utterance.")
 @click.option("--out", "out_dir", type=_PATH_OUT_DIR,
               default=Path("remote_eval_out"), show_default=True,

@@ -70,10 +70,10 @@ class CtcPosterior:
 class DetectionResult:
     """How many complete source words are known, and where each one ended.
 
-    The public constructor checks every end frame.  A detector on a stream
-    instead extends its previous result with :meth:`_extended`, which checks
-    only the ends it adds, so a READ costs what it adds; the ends a detector
-    generates by formula are not checked again (:meth:`_unchecked`).
+    :func:`fixed_word_count` and :func:`adaptive_word_count` return one.  The
+    public constructor checks every end frame; the ends that
+    :func:`fixed_word_count` generates by formula are not checked again
+    (:meth:`_unchecked`).  The engine keeps only :attr:`word_count`.
     """
 
     word_count: int
@@ -96,20 +96,6 @@ class DetectionResult:
         object.__setattr__(result, "word_count", len(ends))
         object.__setattr__(result, "word_end_frames", ends)
         return result
-
-    def _extended(self, keep: int, tail: Sequence[int]) -> "DetectionResult":
-        """The first ``keep`` words of this result followed by words ending
-        at ``tail``; only ``tail`` is checked."""
-        tail = tuple(tail)
-        floor = self.word_end_frames[keep - 1] if keep else -1
-        if not all(map(lt, (floor,) + tail, tail)):
-            raise ValueError(
-                "word_end_frames must be non-negative and strictly increasing"
-            )
-        return self._unchecked(self.word_end_frames[:keep] + tail)
-
-
-EMPTY_DETECTION = DetectionResult(0, ())
 
 
 def fixed_word_count(
@@ -199,11 +185,10 @@ class AdaptiveDetector:
     before ``first`` are final.  It argmaxes each new row once, keeps the
     runs that end before frame ``first - 1`` and finds the rest again by the
     run rule.  Words come from :func:`~simulharness.core.extend_word_spans`,
-    from the first token after the last complete word.  The result keeps the
-    end frames of the words whose tokens did not change and appends the
-    rest, checking only those.  After every update :attr:`collapsed` equals
-    ``ctc_greedy_collapse`` over all rows so far, and the result equals
-    ``adaptive_word_count`` over that.
+    from the first token after the last complete word; the detector keeps no
+    word end frames.  After every update :attr:`collapsed` equals
+    ``ctc_greedy_collapse`` over all rows so far, and the count equals the
+    ``word_count`` of ``adaptive_word_count`` over that.
     """
 
     def __init__(self, convention: Convention) -> None:
@@ -212,16 +197,15 @@ class AdaptiveDetector:
         self._tokens: list[SubwordToken] = []  # one per run
         self._ends: list[int] = []  # the last frame of each run
         self._spans: list[tuple[str, int]] = []  # complete words
-        self._result = EMPTY_DETECTION
 
     @property
     def collapsed(self) -> list[tuple[SubwordToken, int]]:
         """Each run's token with its last frame, over every row so far."""
         return list(zip(self._tokens, self._ends))
 
-    def update(self, posterior: CtcPosterior, first: int) -> DetectionResult:
+    def update(self, posterior: CtcPosterior, first: int) -> int:
         """Take ``posterior`` as the rows from frame ``first`` on; return the
-        words detected over every row so far."""
+        number of complete words over every row so far."""
         path, tokens, ends = self._path, self._tokens, self._ends
         spans = self._spans
         if not 0 <= first <= len(path):
@@ -236,9 +220,6 @@ class AdaptiveDetector:
         closing = int(convention is Convention.SP_PREFIX)
         while spans and spans[-1][1] + closing >= stable:
             spans.pop()
-        keep = len(spans)  # the words whose end frames stay as they are
-        if spans and spans[-1][1] >= kept:
-            keep -= 1  # closed by the run through frame first - 1
         del path[first:], tokens[kept:], ends[kept:]
         path += np.argmax(posterior.scores, axis=1).tolist()
         # a run ends at a non-blank frame whose next row differs, or at the
@@ -250,9 +231,4 @@ class AdaptiveDetector:
             if index != after and index != blank:
                 tokens.append(SubwordToken(posterior.vocab[index], convention))
                 ends.append(frame)
-        extend_word_spans(spans, tokens, convention)
-        if keep < self._result.word_count or keep < len(spans):
-            self._result = self._result._extended(
-                keep, [ends[i] for _, i in spans[keep:]]
-            )
-        return self._result
+        return len(extend_word_spans(spans, tokens, convention))

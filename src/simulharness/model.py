@@ -151,6 +151,14 @@ class LexiconMockModel(ModelInterface):
         eos_early: bool = False,
         compute_delay_ms: float = 0.0,
     ) -> None:
+        if not isinstance(lexicon, Mapping) or not all(
+            isinstance(t, str) or isinstance(t, (list, tuple))
+            and all(isinstance(w, str) for w in t)
+            for t in lexicon.values()
+        ):
+            raise ValueError(
+                "lexicon must map each word to a word or a list of words"
+            )
         if not lexicon:
             raise ValueError("lexicon must not be empty")
         self._lexicon: dict[str, tuple[str, ...]] = {}
@@ -161,6 +169,13 @@ class LexiconMockModel(ModelInterface):
             if not targets:
                 raise ValueError(f"lexicon entry {source!r} maps to no words")
             self._lexicon[source] = targets
+        try:  # a member maps to itself, its value to the member
+            target_convention = Convention(target_convention)
+        except ValueError as exc:
+            choices = " or ".join(repr(m.value) for m in Convention)
+            raise ValueError(
+                f"target_convention must be a string, {choices}; {exc}"
+            ) from None
         # exact types, as PolicyConfig checks them: a bool is no number
         if type(eos_early) is not bool:
             raise ValueError(f"eos_early must be bool, got {eos_early!r}")
@@ -321,42 +336,17 @@ def load_model_config(path: str | Path) -> LexiconMockModel:
     Recognized keys: ``lexicon`` (required, word -> word or word list),
     ``target_convention`` ("bpe" or "sp"), ``target_piece_len`` (a positive
     integer or null), ``eos_early`` (a boolean), ``compute_delay_ms`` (a
-    non-negative number).  A value of the wrong type raises ``ValueError``.
+    non-negative number).  Unknown keys raise ``ValueError``, and so does any
+    value :class:`LexiconMockModel` rejects.
     """
     data = decode_json(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict) or "lexicon" not in data:
         raise ValueError("model config must be an object with a 'lexicon'")
-    known = {
-        "lexicon",
-        "target_convention",
-        "target_piece_len",
-        "eos_early",
-        "compute_delay_ms",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {"lexicon", "target_convention", "target_piece_len",
+                           "eos_early", "compute_delay_ms"}
     if unknown:
         raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-    lexicon = data["lexicon"]
-    if not isinstance(lexicon, dict) or not all(
-        isinstance(t, str)
-        or isinstance(t, list) and all(isinstance(w, str) for w in t)
-        for t in lexicon.values()
-    ):
-        raise ValueError(
-            "lexicon must map each word to a word or a list of words"
-        )
-    convention = data.get("target_convention", "bpe")
-    if not isinstance(convention, str):
-        raise ValueError(
-            f"target_convention must be a string, got {convention!r}"
-        )
-    return LexiconMockModel(
-        lexicon,
-        target_convention=Convention(convention),
-        target_piece_len=data.get("target_piece_len"),
-        eos_early=data.get("eos_early", False),
-        compute_delay_ms=data.get("compute_delay_ms", 0.0),
-    )
+    return LexiconMockModel(**data)
 
 
 # ---------------------------------------------------------------------------

@@ -53,13 +53,7 @@ from .core import (
     segment_stream,
     word_spans,
 )
-from .detection import (
-    AdaptiveDetector,
-    DetectionKind,
-    DetectionResult,
-    EMPTY_DETECTION,
-    fixed_word_count,
-)
+from .detection import AdaptiveDetector, DetectionKind, fixed_word_count
 from .model import ModelInterface
 
 logger = logging.getLogger(__name__)
@@ -157,11 +151,15 @@ class PolicyConfig:
 
 @dataclass
 class SimulState:
-    """Mutable per-utterance engine state (single-threaded)."""
+    """Mutable per-utterance engine state (single-threaded).
+
+    ``detected`` is the number of complete source words detected so far;
+    :func:`decide` reads nothing else of detection.
+    """
 
     received_ms: int = 0
     source_finished: bool = False
-    detected: DetectionResult = EMPTY_DETECTION
+    detected: int = 0
     emitted_words: int = 0
     target_tokens: list[SubwordToken] = field(default_factory=list)
     target_token_ids: list[int] = field(default_factory=list)
@@ -195,7 +193,7 @@ def decide(state: SimulState, config: PolicyConfig) -> ActionKind:
     """WRITE when the source is done or detection covers k + emitted words."""
     if state.source_finished:
         return ActionKind.WRITE
-    if state.detected.word_count >= config.k + state.emitted_words:
+    if state.detected >= config.k + state.emitted_words:
         return ActionKind.WRITE
     return ActionKind.READ
 
@@ -345,7 +343,7 @@ class SimulEngine:
                 self._state.received_ms,
                 self._config.avg_word_ms,
                 frame_ms=self._frame_ms,
-            )
+            ).word_count
         else:
             self._state.detected = self._detector.update(
                 posterior, len(self._frames) - posterior.n_frames

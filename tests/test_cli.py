@@ -353,6 +353,35 @@ def test_remote_eval_unreachable_server_exits_1(demo, tmp_path):
     assert "failed: " in _all_output(result)
 
 
+@pytest.mark.parametrize("setting", [
+    ("--port", 70000), ("--port", 0), ("--port", -1),
+    ("--timeout-s", -1), ("--timeout-s", 0),
+], ids=["port-too-high", "port-zero", "port-negative", "timeout-negative",
+        "timeout-zero"])
+def test_remote_eval_rejects_a_port_or_timeout_sockets_cannot_use(
+    demo, tmp_path, setting
+):
+    """70000 would wrap to port 4464, and a timeout of -1 would fail each
+    utterance; both are usage errors."""
+    flags = {"--port": 7070, "--timeout-s": 2} | dict([setting])
+    result = _run(
+        "remote-eval", *(x for item in flags.items() for x in item),
+        "--manifest", demo / "manifest.jsonl", "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 2, _all_output(result)
+    assert f"Invalid value for '{setting[0]}'" in _all_output(result)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("port", [70000, -1])
+def test_serve_rejects_a_port_out_of_range(demo, port):
+    result = _run(
+        "serve", "--model-config", demo / "model.json", "--port", port,
+    )
+    assert result.exit_code == 2, _all_output(result)
+    assert "Invalid value for '--port'" in _all_output(result)
+
+
 def test_make_demo_rejects_zero_utterances(tmp_path):
     result = _run("make-demo", "--out", tmp_path / "d", "--n-utts", 0)
     assert result.exit_code == 2

@@ -112,6 +112,14 @@ def test_lexicon_validation():
         LexiconMockModel({})
     with pytest.raises(ValueError, match="maps to no words"):
         LexiconMockModel({"a": []})
+    # a convention's value names the member, and builds that member's pieces
+    by_value = LexiconMockModel(
+        {"a": "hello"}, target_convention="bpe", target_piece_len=2
+    )
+    assert by_value.target_convention is Convention.BPE_SUFFIX
+    assert by_value.target_vocab == ("</s>", "he@@", "ll@@", "o")
+    with pytest.raises(ValueError, match="target_convention must be a string"):
+        LexiconMockModel({"a": "b"}, target_convention=5)
     model = make_model()
     with pytest.raises(ValueError, match="not in lexicon"):
         model.translate_words(["unknown"])

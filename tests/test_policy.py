@@ -19,7 +19,6 @@ from simulharness import (
     Convention,
     CtcPosterior,
     DetectionKind,
-    DetectionResult,
     Event,
     LexiconMockModel,
     ModelInterface,
@@ -94,7 +93,7 @@ def test_policy_config_dict_round_trip():
 
 def _state(detected: int, emitted: int, finished: bool = False) -> SimulState:
     state = SimulState()
-    state.detected = DetectionResult(detected, tuple(range(detected)))
+    state.detected = detected
     state.emitted_words = emitted
     state.source_finished = finished
     return state

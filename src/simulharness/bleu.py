@@ -6,7 +6,10 @@ smoothing, brevity penalty), so scores are directly comparable with the usual
 ``BLEU+case.mixed+smooth.exp+tok.13a`` signature:
 
 * each segment is normalized by the ``13a`` rule set below and split on
-  whitespace;
+  whitespace.  The symbol rule's class in ``13a`` includes the space; here it
+  does not, because padding a space with spaces only widens a whitespace run,
+  which the final split collapses.  The tokens are the same, and a segment
+  without punctuation makes the rule match nothing instead of every space;
 * n-gram matches are clipped per segment against the reference counts and
   accumulated over the corpus for orders 1..4;
 * an order with zero matches contributes ``100 / (2^z * total)`` where ``z``
@@ -35,15 +38,16 @@ def _floored_log(value: float) -> float:
     return _LOG_FLOOR if value == 0.0 else math.log(value)
 
 
-#: the ``13a`` symbol, period/comma and dash rules, in the order applied
-_RULES_13A = tuple(
-    (re.compile(pattern), replacement)
-    for pattern, replacement in (
-        (r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", r" \1 "),
-        (r"([^0-9])([\.,])", r"\1 \2 "),
-        (r"([\.,])([^0-9])", r" \1 \2"),
-        (r"([0-9])(-)", r"\1 \2 "),
-    )
+#: the ``13a`` symbol, period/comma and dash rules, in the order applied.
+#: Each replacement is a callable, so ``re`` expands no template in Python
+#: per call or per match.  The symbol class leaves out the space (see the
+#: module docstring).
+_RULES_13A = (
+    (re.compile(r"[\{-\~\[-\`\!-\&\(-\+\:-\@\/]"),
+     lambda m: f" {m[0]} "),
+    (re.compile(r"([^0-9])([\.,])"), lambda m: f"{m[1]} {m[2]} "),
+    (re.compile(r"([\.,])([^0-9])"), lambda m: f" {m[1]} {m[2]}"),
+    (re.compile(r"([0-9])(-)"), lambda m: f"{m[1]} {m[2]} "),
 )
 
 

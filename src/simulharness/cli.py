@@ -36,7 +36,7 @@ from .harness import (
 )
 from .model import LexiconMockModel, load_model_config, synthetic_corpus
 from .policy import PolicyConfig, SimulRunError, offline_greedy_translate
-from .service import StreamTranslationServer, client_evaluate
+from .service import StreamTranslationServer, check_timeout_s, client_evaluate
 
 logger = logging.getLogger(__name__)
 
@@ -145,6 +145,13 @@ def _load_model(path: Path) -> LexiconMockModel:
         raise click.UsageError(
             f"cannot load model config {path}: {exc}"
         ) from exc
+
+
+def _timeout_s(_ctx, _param, value: float) -> float:
+    try:
+        return check_timeout_s(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _fmt(value: float | None, digits: int = 0) -> str:
@@ -340,9 +347,10 @@ def serve_command(model_path: Path, host: str, port: int) -> None:
 @click.option("--pacing", type=click.Choice(["fast", "realtime"]),
               default="fast", show_default=True,
               help="Send chunks back to back, or one per step of wall time.")
-@click.option("--timeout-s", type=click.FloatRange(min=0, min_open=True),
+@click.option("--timeout-s", type=float, callback=_timeout_s,
               default=30.0, show_default=True,
-              help="Socket timeout per utterance.")
+              help="Socket timeout per utterance, in seconds: above 0 and "
+              "at most the platform's thread timeout (about 9.2e9 on Linux).")
 @click.option("--out", "out_dir", type=_PATH_OUT_DIR,
               default=Path("remote_eval_out"), show_default=True,
               help="Directory for metrics.json and per-utterance logs.")

@@ -259,6 +259,15 @@ def word_spans(
     return spans, partial
 
 
+def can_complete_word(token: SubwordToken) -> bool:
+    """Whether appending ``token`` can complete a word: under BPE_SUFFIX a
+    token without the ``@@`` suffix, under SP_PREFIX one with the ``▁``
+    prefix.  Any other token leaves the complete words as they were."""
+    if token.convention is Convention.BPE_SUFFIX:
+        return not token.surface.endswith(BPE_CONTINUATION)
+    return token.surface.startswith(SP_WORD_START)
+
+
 def extend_word_spans(
     spans: list[tuple[str, int]],
     tokens: Sequence[SubwordToken],
@@ -368,6 +377,20 @@ def decode_json(text: str | bytes) -> object:
 
 
 _REQUIRED_FIELDS = ("id", "frames", "frame_ms", "reference")
+#: an id names its log file, ``logs/<id>.jsonl``, so it holds no separator
+_NOT_IN_IDS = frozenset("/\\\0")
+#: the longest file name, in bytes, on common file systems (``NAME_MAX``)
+_MAX_NAME_BYTES = 255
+
+
+def _is_file_name(utt_id: str) -> bool:
+    """Whether ``<utt_id>.jsonl`` can name a file in a directory."""
+    try:
+        size = len(f"{utt_id}.jsonl".encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which JSON can carry
+        return False
+    return (utt_id not in (".", "..") and _NOT_IN_IDS.isdisjoint(utt_id)
+            and size <= _MAX_NAME_BYTES)
 
 
 def _word_list(value: object, field: str, lineno: int) -> tuple[str, ...]:
@@ -386,7 +409,9 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
     Each line is an object with fields ``id``, ``frames`` (an inline array of
     feature rows, or a path -- relative to the manifest -- to a JSON file
     holding one), ``frame_ms``, ``reference``, and optionally ``transcript``.
-    Blank lines are skipped.  Any malformed line raises
+    An id must be a file name: not ``.`` or ``..``, with no ``/``, ``\\``,
+    NUL or lone surrogate, and at most 249 bytes of UTF-8.  Blank lines are
+    skipped.  Any malformed line raises
     :class:`ManifestError` naming the line number.
     """
     path = Path(path)
@@ -413,6 +438,10 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
             if not isinstance(utt_id, str) or not utt_id:
                 raise ManifestError(
                     f"field 'id' must be a non-empty string at line {lineno}"
+                )
+            if not _is_file_name(utt_id):
+                raise ManifestError(
+                    f"id {utt_id!r} is not a file name at line {lineno}"
                 )
             if utt_id in seen:
                 raise ManifestError(

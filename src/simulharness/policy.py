@@ -13,6 +13,9 @@ wall clock that adds the model compute time accumulated so far, so
 computation-aware delays dominate ideal ones by construction.  Target words
 are tracked the same way, from the first token after the last complete
 word, so a READ or WRITE costs what it adds rather than what came before.
+The scan runs only after a token that can complete a word (one without the
+BPE ``@@`` suffix, or one with the SentencePiece ``▁`` prefix), so a WRITE
+scans the tokens of its word once, however many decoder steps it took.
 
 The decision rule: WRITE once the source is finished, or once the number of
 detected source words reaches ``k`` plus the number of words already emitted
@@ -47,6 +50,7 @@ from .core import (
     Hypothesis,
     SubwordToken,
     Utterance,
+    can_complete_word,
     check_frame_ms,
     default_max_target_words,
     extend_word_spans,
@@ -231,6 +235,10 @@ class SimulEngine:
             raise ValueError("avg_word_ms must be at least one frame long")
         self._model = model
         self._config = config
+        # fixed for the model's life: read once, not once per decoder step
+        self._eos_id = model.eos_id
+        self._vocab = model.target_vocab
+        self._convention = model.target_convention
         self._frame_ms = frame_ms
         self._cap = config.max_target_words or default_max_target_words()
         self._frames: list[Frame] = []
@@ -376,35 +384,40 @@ class SimulEngine:
 
         Returns that word, appending its tokens to the state.  Returns
         ``None`` when a premature EOS forces a READ.  When the target ends,
-        returns what :meth:`_end_target` gives.
+        returns what :meth:`_end_target` gives.  The complete words are
+        brought up to date only after a token that can complete a word, so
+        the open word's tokens are scanned once per word, not once per step.
         """
         model, state, config = self._model, self._state, self._config
-        convention = model.target_convention
+        eos_id, convention = self._eos_id, self._convention
         appended = 0
-        while len(extend_word_spans(
-            state.target_words, state.target_tokens, convention
-        )) <= state.emitted_words:
+        while len(state.target_words) <= state.emitted_words:
             if appended >= MAX_TOKENS_PER_WORD:
                 logger.warning("word generation hit the per-write token cap")
                 self._truncated = True
                 return self._end_target()
             scores = self._timed(model.decoder_step, self._encoder_states,
                                  state.target_token_ids)
-            next_id = int(np.argmax(scores))
-            if next_id == model.eos_id:
+            # the method: np.argmax would add a Python call per step
+            next_id = int(np.asarray(scores).argmax())
+            if next_id == eos_id:
                 if state.source_finished or not config.force_finish:
                     return self._end_target()
                 if not config.effective_avoid_eos:
                     return None
                 masked = np.asarray(scores, dtype=float).copy()
-                masked[model.eos_id] = -np.inf
+                masked[eos_id] = -np.inf
                 if not np.isfinite(masked).any():
                     return None
                 next_id = int(np.argmax(masked))
-            token = SubwordToken(model.target_vocab[next_id], convention)
+            token = SubwordToken(self._vocab[next_id], convention)
             state.target_tokens.append(token)
             state.target_token_ids.append(next_id)
             appended += 1
+            if can_complete_word(token):
+                extend_word_spans(
+                    state.target_words, state.target_tokens, convention
+                )
         return state.target_words[state.emitted_words][0]
 
     def _end_target(self) -> str | None:
@@ -413,9 +426,7 @@ class SimulEngine:
         self._done = True
         words, tokens = self._state.target_words, self._state.target_tokens
         start = words[-1][1] + 1 if words else 0
-        flushed, _ = word_spans(
-            tokens[start:], self._model.target_convention, eos=True
-        )
+        flushed, _ = word_spans(tokens[start:], self._convention, eos=True)
         return flushed[0][0] if flushed else None
 
     def result(self) -> tuple[Hypothesis, list[Event]]:

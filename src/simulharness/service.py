@@ -306,6 +306,7 @@ def stream_utterance(
     arrival times in ms.
     """
     _check_pacing(pacing)
+    check_timeout_s(timeout_s)
     chunks = segment_stream(utterance, config.step_ms)
     session = f"{utterance.id}-{uuid.uuid4().hex[:8]}"
     config = config.for_utterance(utterance)
@@ -402,6 +403,18 @@ def _check_pacing(pacing: str) -> None:
         raise ValueError(f"unknown pacing {pacing!r}")
 
 
+def check_timeout_s(timeout_s: float) -> float:
+    """``timeout_s`` if a socket and a thread join can both wait that long:
+    above 0 and at most ``threading.TIMEOUT_MAX`` (about 9.2e9 s on Linux),
+    so not NaN or infinite.  Raises ``ValueError`` otherwise."""
+    if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # NaN compares false
+        raise ValueError(
+            f"timeout_s must be above 0 and at most "
+            f"{threading.TIMEOUT_MAX:.0f} s, got {timeout_s!r}"
+        )
+    return timeout_s
+
+
 def client_evaluate(
     address: tuple[str, int],
     utterances: Sequence[Utterance],
@@ -417,6 +430,7 @@ def client_evaluate(
     a zero-utterance report with every utterance listed as failed.
     """
     _check_pacing(pacing)
+    check_timeout_s(timeout_s)
     utterances = list(utterances)
 
     def translate(utterance: Utterance) -> tuple[Hypothesis, tuple]:

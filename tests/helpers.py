@@ -8,6 +8,7 @@ and its tests cannot share a bug.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from typing import Sequence
 
@@ -197,6 +198,34 @@ def oracle_bleu(
         math.log(p) if p > 0.0 else _LOG_FLOOR for p in precisions
     )
     return brevity * math.exp(log_sum / 4.0)
+
+
+# ---------------------------------------------------------------------------
+# 13a tokenizer oracle (the literal rule set, templates and all)
+# ---------------------------------------------------------------------------
+
+#: the ``13a`` rules as published: the symbol class includes the space, and
+#: every replacement is a ``\1`` template
+_LITERAL_RULES_13A = tuple(
+    (re.compile(pattern), replacement)
+    for pattern, replacement in (
+        (r"([\{-\~\[-\` -\&\(-\+\:-\@\/])", r" \1 "),
+        (r"([^0-9])([\.,])", r"\1 \2 "),
+        (r"([\.,])([^0-9])", r" \1 \2"),
+        (r"([0-9])(-)", r"\1 \2 "),
+    )
+)
+
+
+def oracle_tokenize_13a(line: str) -> list[str]:
+    """``13a`` tokens from the literal rule set, applied step by step."""
+    for old, new in (("<skipped>", ""), ("&quot;", '"'), ("&amp;", "&"),
+                     ("&lt;", "<"), ("&gt;", ">")):
+        line = line.replace(old, new)
+    line = f" {line} "
+    for pattern, replacement in _LITERAL_RULES_13A:
+        line = pattern.sub(replacement, line)
+    return line.split()
 
 
 # ---------------------------------------------------------------------------

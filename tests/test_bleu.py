@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import simulharness
-from helpers import oracle_bleu
+from helpers import oracle_bleu, oracle_tokenize_13a
 from simulharness import corpus_bleu, tokenize_13a
 
 
@@ -41,6 +41,23 @@ def test_the_bleu_submodule_is_not_shadowed():
 )
 def test_tokenize_13a_frozen_cases(line, expected):
     assert tokenize_13a(line) == expected
+
+
+#: every character the symbol rule pads, whitespace, digits, the period,
+#: comma and dash rules' characters, the entities, ``<skipped>``, letters
+#: and non-ASCII text (a no-break space too, which ``split`` splits on)
+_13A_PIECES = (
+    [chr(c) for c in range(0x21, 0x7F) if not chr(c).isalnum()
+     and chr(c) not in "'.,-"]
+    + list(" \t\n0123456789.,-'aZ")
+    + ["&quot;", "&amp;", "&lt;", "&gt;", "<skipped>", "é", "日本",
+       "\u00a0", "ß-"]
+)
+
+
+@given(st.lists(st.sampled_from(_13A_PIECES), max_size=30).map("".join))
+def test_tokenize_13a_equals_the_literal_rule_set(line):
+    assert tokenize_13a(line) == oracle_tokenize_13a(line)
 
 
 @given(st.text(alphabet="abcz .,!?()0123456789-'\"&<>\n\t", max_size=40))

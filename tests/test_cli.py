@@ -355,14 +355,16 @@ def test_remote_eval_unreachable_server_exits_1(demo, tmp_path):
 
 @pytest.mark.parametrize("setting", [
     ("--port", 70000), ("--port", 0), ("--port", -1),
-    ("--timeout-s", -1), ("--timeout-s", 0),
+    ("--timeout-s", -1), ("--timeout-s", 0), ("--timeout-s", "nan"),
+    ("--timeout-s", "inf"), ("--timeout-s", "1e10"),
 ], ids=["port-too-high", "port-zero", "port-negative", "timeout-negative",
-        "timeout-zero"])
+        "timeout-zero", "timeout-nan", "timeout-inf", "timeout-1e10"])
 def test_remote_eval_rejects_a_port_or_timeout_sockets_cannot_use(
     demo, tmp_path, setting
 ):
-    """70000 would wrap to port 4464, and a timeout of -1 would fail each
-    utterance; both are usage errors."""
+    """70000 would wrap to port 4464, and a timeout of -1, NaN, infinity
+    or 1e10 s would fail each utterance in ``settimeout``; all are usage
+    errors."""
     flags = {"--port": 7070, "--timeout-s": 2} | dict([setting])
     result = _run(
         "remote-eval", *(x for item in flags.items() for x in item),
@@ -371,6 +373,35 @@ def test_remote_eval_rejects_a_port_or_timeout_sockets_cannot_use(
     assert result.exit_code == 2, _all_output(result)
     assert f"Invalid value for '{setting[0]}'" in _all_output(result)
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["eval", "--model-config", "{demo}/model.json"],
+    ["remote-eval", "--port", "7070", "--timeout-s", "2"],
+], ids=["eval", "remote-eval"])
+def test_an_id_that_is_no_file_name_exits_2_and_writes_nothing(
+    demo, tmp_path, command
+):
+    """An id names its log, ``logs/<id>.jsonl``: ``../escaped`` would
+    write outside ``logs/``, so the manifest is refused before any run."""
+    lines = (demo / "manifest.jsonl").read_text(encoding="utf-8").splitlines()
+    first = json.loads(lines[0])
+    first["id"] = "../escaped"
+    manifest = tmp_path / "escaped" / "manifest.jsonl"
+    manifest.parent.mkdir()
+    manifest.write_text(
+        "\n".join([json.dumps(first), *lines[1:]]) + "\n", encoding="utf-8"
+    )
+    out = tmp_path / "escaped" / "out"
+    result = _run(*(arg.format(demo=demo) for arg in command),
+                  "--manifest", manifest, "--out", out)
+    assert result.exit_code == 2, _all_output(result)
+    assert ("id '../escaped' is not a file name at line 1"
+            in _all_output(result))
+    assert sorted(p.name for p in manifest.parent.iterdir()) == [
+        "manifest.jsonl"
+    ]
+    assert not list(tmp_path.rglob("escaped.jsonl"))
 
 
 @pytest.mark.parametrize("port", [70000, -1])

@@ -341,6 +341,14 @@ def test_an_overlong_integer_in_a_side_file_is_malformed_json(tmp_path):
         load_manifest(path)
 
 
+def test_load_manifest_takes_an_id_as_long_as_a_file_name(tmp_path):
+    # 249 bytes of UTF-8, and 255 with the log's ``.jsonl``
+    utt_id = "é" * 124 + "a"
+    path = _write_manifest(tmp_path, [_record(utt_id)])
+    assert load_manifest(path)[0].id == utt_id
+    (tmp_path / f"{utt_id}.jsonl").write_text("", encoding="utf-8")
+
+
 def test_load_manifest_rejects_a_bool_frame_ms(tmp_path):
     # True is an int to Python; taken as one it would mean 1 ms frames
     path = _write_manifest(tmp_path, [_record(), _record("u2", frame_ms=True)])
@@ -372,6 +380,17 @@ def test_load_manifest_rejects_a_bool_frame_ms(tmp_path):
          "bad frame row at line 2: int too large to convert to float"),
         (_record("u2", frames=[[0.0, 1.0], 5]), None,
          "bad frame row at line 2: 5 is not an array of numbers"),
+        (_record("."), None, r"id '\.' is not a file name at line 2"),
+        (_record(".."), None, r"id '\.\.' is not a file name at line 2"),
+        (_record("../escaped"), None,
+         r"id '\.\./escaped' is not a file name at line 2"),
+        (_record("sub/dir"), None,
+         "id 'sub/dir' is not a file name at line 2"),
+        (_record("a\\b"), None, r"id 'a\\\\b' is not a file name at line 2"),
+        (_record("a\0b"), None, r"id 'a\\x00b' is not a file name at line 2"),
+        (_record("a\ud800"), None,
+         r"id 'a\\ud800' is not a file name at line 2"),
+        (_record("é" * 125), None, "id 'é+' is not a file name at line 2"),
     ],
 )
 def test_load_manifest_names_the_line_of_a_bad_record(

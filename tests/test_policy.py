@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import simulharness.policy as policy_module
 from helpers import (
     EXPANDING_LEXICON,
     DecoderFailsOnHaus,
@@ -27,9 +28,11 @@ from simulharness import (
     SimulRunError,
     SimulState,
     decide,
+    extend_word_spans,
     read_event_log,
     run_simultaneous,
     segment_stream,
+    word_spans,
     write_event_log,
 )
 
@@ -305,6 +308,83 @@ def test_per_word_token_budget_flushes_a_never_ending_word():
     assert hyp.truncated is True
     assert len(hyp.words) == 1
     assert hyp.words[0] == "x" * 256  # the flushed 256-piece partial
+
+
+# ---------------------------------------------------------------------------
+# The WRITE loop's word scan
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+def test_word_spans_are_extended_once_per_emitted_word(
+    monkeypatch, convention
+):
+    """Only a token that can complete a word brings the complete words up
+    to date, so the engine scans once per word, not once per decoder step;
+    an SP target's last word is flushed at the end, not extended."""
+    calls = []
+
+    def counting(spans, tokens, target_convention):
+        calls.append(len(tokens))
+        return extend_word_spans(spans, tokens, target_convention)
+
+    monkeypatch.setattr(policy_module, "extend_word_spans", counting)
+    model = make_model(EXPANDING_LEXICON, target_piece_len=2,
+                       target_convention=convention)
+    utt = aligned_utterance(model, ["da", "geht", "esel", "haus"])
+    hyp, _ = run_simultaneous(model, utt, PolicyConfig(k=2))
+    assert hyp.words == utt.reference
+    assert len(hyp.tokens) > len(hyp.words)
+    assert len(calls) == len(hyp.words)
+
+
+class _ScriptedDecoder(ModelInterface):
+    """The tiny mock's encoder, with a decoder that emits a fixed script of
+    token surfaces, one per step, and then only EOS."""
+
+    def __init__(self, script, convention) -> None:
+        self._inner = make_model()
+        self._vocab = ("</s>",) + tuple(dict.fromkeys(script))
+        self._ids = [self._vocab.index(surface) for surface in script]
+        self._convention = convention
+
+    target_vocab = property(lambda self: self._vocab)
+    eos_id = property(lambda self: 0)
+    target_convention = property(lambda self: self._convention)
+
+    def encode_prefix(self, frames):
+        return self._inner.encode_prefix(frames)
+
+    def decoder_step(self, states, target_prefix_ids):
+        scores = np.zeros(len(self._vocab))
+        step = len(target_prefix_ids)
+        scores[self._ids[step] if step < len(self._ids) else 0] = 1.0
+        return scores
+
+
+@pytest.mark.parametrize("convention, script, clean, delays", [
+    (Convention.BPE_SUFFIX, ["@@", "", "a", "b@@", "", "c"],
+     ["a", "b", "c"], (280, 560, 840)),
+    (Convention.SP_PREFIX, ["▁", "", "▁a", "▁b", "", "▁", "▁c"],
+     ["▁a", "▁b", "▁c"], (280, 560, 1120)),
+], ids=["bpe", "sp"])
+def test_pieces_that_strip_to_empty_make_no_word(
+    convention, script, clean, delays
+):
+    """Empty pieces are dropped as ``word_spans`` drops them, and the words
+    around them keep the delays of a script without them."""
+    utt = aligned_utterance(make_model(), ["da", "esel", "geht", "haus"])
+    config = PolicyConfig(k=1)
+    hyp, _ = run_simultaneous(_ScriptedDecoder(script, convention), utt,
+                              config)
+    spans, _ = word_spans(hyp.tokens, convention, eos=True)
+    assert hyp.words == tuple(word for word, _ in spans) == ("a", "b", "c")
+    assert len(hyp.tokens) == len(script)
+    assert hyp.ideal_delays_ms == delays
+    clean_hyp, _ = run_simultaneous(_ScriptedDecoder(clean, convention), utt,
+                                    config)
+    assert clean_hyp.words == hyp.words
+    assert clean_hyp.ideal_delays_ms == delays
 
 
 # ---------------------------------------------------------------------------

@@ -642,6 +642,26 @@ def test_a_send_cut_by_the_server_leaves_no_unflushed_writer():
     assert proc.stderr == ""
 
 
+@pytest.mark.parametrize("timeout_s", [float("nan"), float("inf"), 1e10, 0.0])
+def test_a_timeout_sockets_cannot_take_is_rejected_before_connecting(
+    monkeypatch, timeout_s
+):
+    """``settimeout`` raises for NaN, infinity and anything past about
+    9.2e9 s; both clients refuse such a timeout before they connect."""
+
+    def connect(*_args, **_kwargs):
+        raise AssertionError("connected")
+
+    monkeypatch.setattr(socket, "create_connection", connect)
+    utt = aligned_utterance(make_model(), ["da"])
+    with pytest.raises(ValueError, match="timeout_s must be above 0"):
+        stream_utterance(("127.0.0.1", 9), utt, PolicyConfig(),
+                         timeout_s=timeout_s)
+    with pytest.raises(ValueError, match="timeout_s must be above 0"):
+        client_evaluate(("127.0.0.1", 9), [utt], PolicyConfig(),
+                        timeout_s=timeout_s)
+
+
 def test_client_evaluate_rejects_unknown_pacing_before_any_session():
     model = make_model()
     utts = [aligned_utterance(model, ["da"], utt_id=f"u{i}") for i in range(2)]

@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .core import Convention, Frame, Hypothesis, Utterance
-from .detection import CtcPosterior, DetectionKind
+from .detection import AdaptiveDetector, CtcPosterior, DetectionKind
 from .metrics import DelaySequence, MetricsReport, aggregate_metrics
 from .model import ModelInterface
 from .policy import Event, PolicyConfig, SimulRunError
@@ -196,14 +196,15 @@ class CurvePoint:
 
 class _Prefix:
     """One source prefix in a :class:`_SharedEncoder`: the model's encoding
-    of it, the compute it took, and the prefixes one chunk longer."""
+    of it, its compute, its word count and the prefixes one chunk longer."""
 
-    __slots__ = ("states", "posterior", "ms", "children")
+    __slots__ = ("states", "posterior", "ms", "words", "children")
 
     def __init__(
         self, states: object, posterior: CtcPosterior | None, ms: float
     ) -> None:
         self.states, self.posterior, self.ms = states, posterior, ms
+        self.words: int | None = None
         self.children: dict[tuple[int, ...], _Prefix] = {}
 
 
@@ -219,7 +220,10 @@ class _SharedEncoder(ModelInterface):
     return for more than one prefix.  The model must not change a node's
     states or posterior once it returned them.  A read of a node is
     charged the compute its encode took, never the lookup; a failed encode
-    stores nothing, so every point that needs it fails on its own.
+    stores nothing, so every point that needs it fails on its own.  The
+    first adaptive point to read a node counts its words (a sweep has one
+    source convention); a later point gets the count and defers the rows
+    to its detector, which replays them if it reads past every count.
     """
 
     def __init__(self, model: ModelInterface) -> None:
@@ -270,6 +274,18 @@ class _SharedEncoder(ModelInterface):
             node = parent.children[key] = _Prefix(*encoded)
         return node, node.posterior, node.ms
 
+    def detect_words(
+        self, states: _Prefix, posterior: CtcPosterior, first: int,
+        detector: AdaptiveDetector,
+    ) -> int:
+        if states.words is None:
+            states.words = self._model.detect_words(
+                states.states, posterior, first, detector
+            )
+        else:
+            detector.defer(posterior, first)
+        return states.words
+
     def decoder_step(
         self, states: _Prefix, target_prefix_ids: Sequence[int]
     ) -> np.ndarray:
@@ -292,13 +308,15 @@ def sweep(
 
     Nothing on the source side depends on the point, so each repeat makes
     one source pass: every source prefix is encoded once, by the first
-    point that reads it, and handed to every later point.  This relies on
-    the model being deterministic and on its encode calls leaving the
-    states and posteriors they were given or returned before unchanged
-    (see :meth:`ModelInterface.encode_more`).  Each point is still charged
-    the encode time it would have spent alone -- the time the shared
-    encode took -- so the computation-aware numbers stay per point, and
-    each repeat times its own encodes.
+    point that reads it, and its words are counted once, by the first
+    adaptive point (all have ``spec.base_config``'s source convention);
+    both are handed to every later point.  This relies on the model being
+    deterministic and on its encode calls leaving the states and
+    posteriors they were given or returned before unchanged (see
+    :meth:`ModelInterface.encode_more`).  Each point is still charged the
+    encode time it would have spent alone -- the time the shared encode
+    took -- so the computation-aware numbers stay per point, and each
+    repeat times its own encodes.
 
     A repeat holds the states and posterior of every source prefix in the
     corpus until its last point.  For a model whose states or posterior

@@ -7,13 +7,14 @@ posterior over the source vocabulary for the *tail* of the prefix.  Rows
 before that tail are final, so detection never looks at them again.
 ``decoder_step`` scores the next target token given those states and the
 committed target prefix.  The engine reaches ``encode_more`` through
-``timed_encode``, which also returns the compute time to charge for it.  A
-model that cannot encode incrementally implements only ``encode_prefix``; the
-default ``encode_more`` re-encodes the whole prefix, and its posterior then
-covers every frame.  Both encode calls must be functions of their
-arguments: a sweep hands one prefix's states and posterior to every grid
-point, so a model must not change the states it is given, nor any states
-or posterior it returned before (a model with a cache updates a copy).
+``timed_encode``, which also returns the compute time to charge for it, and
+counts adaptive source words through ``detect_words``.  A model that cannot
+encode incrementally implements only ``encode_prefix``; the default
+``encode_more`` re-encodes the whole prefix, and its posterior then covers
+every frame.  Both encode calls must be functions of their arguments: a sweep
+hands one prefix's states and posterior to every grid point, so a model must
+not change the states it is given, nor any states or posterior it returned
+before (a model with a cache updates a copy).
 
 :class:`LexiconMockModel` implements the contract with a word-for-word
 dictionary so every behavior downstream -- detection, scheduling, latency,
@@ -39,7 +40,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import Convention, Frame, Utterance, decode_json, subword_tokens
-from .detection import CtcPosterior
+from .detection import AdaptiveDetector, CtcPosterior
 
 #: Feature amplitude marking the final frame of a word (interior frames
 #: carry amplitude 1.0; anything below the threshold reads as blank).
@@ -109,6 +110,15 @@ class ModelInterface(ABC):
         begin = time.perf_counter()
         states, posterior = self.encode_more(states, frames, start)
         return states, posterior, (time.perf_counter() - begin) * 1000.0
+
+    def detect_words(
+        self, states: object, posterior: CtcPosterior, first: int,
+        detector: AdaptiveDetector,
+    ) -> int:
+        """Count the complete source words of the prefix just encoded to
+        ``states`` and ``posterior`` (rows from frame ``first`` on) with the
+        engine's ``detector``.  A sweep shares the count, as the encoding."""
+        return detector.update(posterior, first)
 
     @abstractmethod
     def decoder_step(

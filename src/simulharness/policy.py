@@ -353,8 +353,9 @@ class SimulEngine:
                 frame_ms=self._frame_ms,
             ).word_count
         else:
-            self._state.detected = self._detector.update(
-                posterior, len(self._frames) - posterior.n_frames
+            self._state.detected = self._model.detect_words(
+                states, posterior, len(self._frames) - posterior.n_frames,
+                self._detector,
             )
 
     def _drain_writes(self) -> list[Event]:
@@ -409,7 +410,7 @@ class SimulEngine:
                 masked[eos_id] = -np.inf
                 if not np.isfinite(masked).any():
                     return None
-                next_id = int(np.argmax(masked))
+                next_id = int(masked.argmax())
             token = SubwordToken(self._vocab[next_id], convention)
             state.target_tokens.append(token)
             state.target_token_ids.append(next_id)

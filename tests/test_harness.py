@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+from operator import lt
 
 import pytest
 
@@ -15,6 +16,7 @@ from helpers import (
 )
 from simulharness import (
     ActionKind,
+    AdaptiveDetector,
     CurvePoint,
     DelaySequence,
     DetectionKind,
@@ -36,7 +38,7 @@ from simulharness import (
     write_curve_csv,
     write_eval_outputs,
 )
-from simulharness import harness
+from simulharness import harness, policy
 from simulharness.harness import evaluate_utterance, score_results
 
 
@@ -496,6 +498,129 @@ def test_a_shared_encode_holds_off_the_collector_and_restores_it():
         assert not gc.isenabled()
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# One adaptive detection per sweep repeat
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def counting_detector(monkeypatch):
+    """Every engine's adaptive detector counts, over all instances, its
+    updates (replays included) and the updates that first replay rows
+    deferred to it."""
+
+    class CountingDetector(AdaptiveDetector):
+        updates = replays = 0
+
+        def __init__(self, convention):
+            super().__init__(convention)
+            self.pending = 0
+
+        def defer(self, posterior, first):
+            self.pending += 1
+            super().defer(posterior, first)
+
+        def update(self, posterior, first):
+            CountingDetector.updates += 1
+            if self.pending:
+                CountingDetector.replays += 1
+                self.pending = 0
+            return super().update(posterior, first)
+
+    monkeypatch.setattr(policy, "AdaptiveDetector", CountingDetector)
+    return CountingDetector
+
+
+def _gappy(model, words, utt_id):
+    gaps = [140 * (i % 3) for i in range(len(words) + 1)]
+    return aligned_utterance(model, words, gaps_ms=gaps, utt_id=utt_id)
+
+
+@pytest.mark.parametrize("k_values", [(3,), (1, 3, 9)])
+def test_a_sweep_detects_each_chunk_once_per_repeat(
+    counting_detector, k_values
+):
+    model = make_model()
+    utts = _corpus(model, n_utts=2, n_words=5) + [
+        _gappy(model, ["da", "esel", "geht", "ja"], "gappy")
+    ]
+    spec = SweepSpec(k_values=k_values, runs_per_point=3)
+    n_chunks = sum(
+        len(segment_stream(u, spec.base_config.step_ms)) for u in utts
+    )
+    sweep(utts, model, spec)
+    assert counting_detector.updates == n_chunks * spec.runs_per_point
+    # every later point reads no further than the first adaptive one
+    assert counting_detector.replays == 0
+
+
+#: source words as SentencePiece pieces: a word opens at a ``▁`` piece
+SP_SOURCE_LEXICON = {
+    "▁da": "there",
+    "▁esel": "donkey",
+    "geht": "goes",
+    "▁haus": "house",
+    "hin": "to",
+    "▁ja": "yes",
+}
+
+
+class _Reencoder(LexiconMockModel):
+    """The mock seen only through ``encode_prefix``: every posterior covers
+    the whole prefix."""
+
+    def encode_more(self, states, frames, start):
+        return ModelInterface.encode_more(self, states, frames, start)
+
+
+@pytest.mark.parametrize("step_ms", [140, 280])
+@pytest.mark.parametrize("model_class", [LexiconMockModel, _Reencoder])
+def test_a_sweep_counts_sentencepiece_source_words_as_plain_runs(
+    monkeypatch, model_class, step_ms
+):
+    """A SentencePiece word closes only at the next word's first piece.  A
+    posterior that covers rows the detector has seen makes it take back
+    each word whose closing piece it finds again."""
+    model = model_class(SP_SOURCE_LEXICON)
+    utts = [
+        _gappy(model, ["▁da", "geht", "▁ja", "hin", "▁esel"], "a"),
+        aligned_utterance(model, ["geht", "▁haus", "▁ja", "hin"], utt_id="b"),
+        _gappy(model, ["▁esel", "hin", "geht", "▁da", "▁haus"], "c"),
+    ]
+    base = PolicyConfig(source_convention="sp", step_ms=step_ms)
+    spec = SweepSpec(k_values=(1, 2, 3), runs_per_point=2, base_config=base)
+    _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+
+
+def test_a_point_that_reads_past_the_counted_prefixes_replays_them(
+    monkeypatch, counting_detector
+):
+    """With a word cap, a point with a small k stops reading early, so a
+    later point reads prefixes no earlier point counted: it replays the
+    rows it deferred, and then counts them for the points after it."""
+    model = make_model()
+    utts = _corpus(model, n_utts=3, n_words=6) + [
+        _gappy(model, ["da", "esel", "geht", "ja", "hin"], "gappy")
+    ]
+    spec = SweepSpec(
+        k_values=(1, 2, 4), base_config=PolicyConfig(max_target_words=2)
+    )
+    _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+    reads = [
+        [
+            sum(e.kind is ActionKind.READ for e in r.events)
+            for r in evaluate_corpus(utts, model, config).results
+        ]
+        for config in spec.grid
+        if config.detection is DetectionKind.ADAPTIVE
+    ]
+    # each adaptive point after the first reads further on every utterance
+    # than the points before it, so it replays once per utterance
+    for shorter, longer in zip(reads, reads[1:]):
+        assert all(map(lt, shorter, longer))
+    assert counting_detector.replays == (len(reads) - 1) * len(utts)
 
 
 # ---------------------------------------------------------------------------

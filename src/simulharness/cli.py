@@ -218,10 +218,12 @@ def eval_command(
 @click.option("--model-config", "model_path", required=True, type=_PATH_IN,
               help="JSON model configuration.")
 @click.option("--k", "k_values", type=int, multiple=True,
-              help="Lag values to trace (repeatable; default 3 5 7 9 11).")
+              help="Lag values to trace (repeatable; default "
+              f"{' '.join(map(str, SweepSpec.k_values))}).")
 @click.option("--strategy", "strategies",
               type=click.Choice(["fixed", "adaptive"]), multiple=True,
-              help="Detection strategies to trace (default: both).")
+              help="Detection strategies to trace (repeatable; default "
+              f"{' '.join(s.value for s in SweepSpec.strategies)}).")
 @click.option("--runs", type=int, default=1, show_default=True,
               help="Repeats per grid point, averaged into the "
               "computation-aware columns.")
@@ -241,11 +243,12 @@ def sweep_command(
     """Trace a quality/latency curve over a (strategy, k) grid."""
     utterances = _load_utterances(manifest_path)
     model = _load_model(model_path)
-    base = _build_config(k=1, detection="fixed", **policy_flags)
+    # only the grid flags given: SweepSpec holds the default grid
+    grid = {"k_values": k_values, "strategies": strategies}
+    base = _build_config(**policy_flags)
     try:
         spec = SweepSpec(
-            k_values=k_values or (3, 5, 7, 9, 11),
-            strategies=strategies or ("fixed", "adaptive"),
+            **{name: values for name, values in grid.items() if values},
             runs_per_point=runs,
             base_config=base,
         )

@@ -188,8 +188,7 @@ class AdaptiveDetector:
     from the first token after the last complete word; the detector keeps no
     word end frames.  After every update :attr:`collapsed` equals
     ``ctc_greedy_collapse`` over all rows so far, and the count equals the
-    ``word_count`` of ``adaptive_word_count`` over that.  :meth:`defer`
-    queues rows that the next :meth:`update` takes first, in order.
+    ``word_count`` of ``adaptive_word_count`` over that.
     """
 
     def __init__(self, convention: Convention) -> None:
@@ -198,24 +197,15 @@ class AdaptiveDetector:
         self._tokens: list[SubwordToken] = []  # one per run
         self._ends: list[int] = []  # the last frame of each run
         self._spans: list[tuple[str, int]] = []  # complete words
-        self._deferred: list[tuple[CtcPosterior, int]] = []
 
     @property
     def collapsed(self) -> list[tuple[SubwordToken, int]]:
         """Each run's token with its last frame, over every row so far."""
         return list(zip(self._tokens, self._ends))
 
-    def defer(self, posterior: CtcPosterior, first: int) -> None:
-        """Queue ``posterior`` and ``first`` for the next :meth:`update`."""
-        self._deferred.append((posterior, first))
-
     def update(self, posterior: CtcPosterior, first: int) -> int:
         """Take ``posterior`` as the rows from frame ``first`` on; return the
         number of complete words over every row so far."""
-        if self._deferred:
-            deferred, self._deferred = self._deferred, []
-            for queued in deferred:
-                self.update(*queued)
         path, tokens, ends = self._path, self._tokens, self._ends
         spans = self._spans
         if not 0 <= first <= len(path):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import gc
 import logging
+import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Convention, Frame, Hypothesis, Utterance
+from .core import Convention, Frame, Hypothesis, Utterance, _is_file_name
 from .detection import AdaptiveDetector, CtcPosterior, DetectionKind
 from .metrics import DelaySequence, MetricsReport, aggregate_metrics
 from .model import ModelInterface
@@ -222,13 +223,17 @@ class _SharedEncoder(ModelInterface):
     charged the compute its encode took, never the lookup; a failed encode
     stores nothing, so every point that needs it fails on its own.  The
     first adaptive point to read a node counts its words (a sweep has one
-    source convention); a later point gets the count and defers the rows
-    to its detector, which replays them if it reads past every count.
+    source convention); a later point gets the count and queues the rows.
+    Its detector takes them, in order, only if that point reads past every
+    count.  One engine reads at a time, so the queue holds the rows of the
+    last detector to skip any.
     """
 
     def __init__(self, model: ModelInterface) -> None:
         self._model = model
         self._root = _Prefix(None, None, 0.0)
+        self._detector: AdaptiveDetector | None = None
+        self._skipped: list[tuple[CtcPosterior, int]] = []
 
     @property
     def target_vocab(self) -> tuple[str, ...]:
@@ -245,16 +250,13 @@ class _SharedEncoder(ModelInterface):
     def encode_prefix(
         self, frames: Sequence[Frame]
     ) -> tuple[_Prefix, CtcPosterior]:
-        return self.encode_more(None, frames, 0)
+        node = self._read(None, frames, 0, None)[0]
+        return node, node.posterior
 
-    def encode_more(
-        self, states: _Prefix | None, frames: Sequence[Frame], start: int
-    ) -> tuple[_Prefix, CtcPosterior]:
-        return self.timed_encode(states, frames, start)[:2]
-
-    def timed_encode(
-        self, states: _Prefix | None, frames: Sequence[Frame], start: int
-    ) -> tuple[_Prefix, CtcPosterior, float]:
+    def _read(
+        self, states: _Prefix | None, frames: Sequence[Frame], start: int,
+        detector: AdaptiveDetector | None,
+    ) -> tuple[_Prefix, int | None, float]:
         parent = states or self._root
         key = tuple(map(id, frames[start:]))
         node = parent.children.get(key)
@@ -265,26 +267,26 @@ class _SharedEncoder(ModelInterface):
             collecting = gc.isenabled()
             gc.disable()
             try:
-                encoded = self._model.timed_encode(
-                    parent.states, frames, start
-                )
+                begin = time.perf_counter()
+                encoded = self._model.encode_more(parent.states, frames, start)
+                ms = (time.perf_counter() - begin) * 1000.0
             finally:
                 if collecting:
                     gc.enable()
-            node = parent.children[key] = _Prefix(*encoded)
-        return node, node.posterior, node.ms
-
-    def detect_words(
-        self, states: _Prefix, posterior: CtcPosterior, first: int,
-        detector: AdaptiveDetector,
-    ) -> int:
-        if states.words is None:
-            states.words = self._model.detect_words(
-                states.states, posterior, first, detector
-            )
+            node = parent.children[key] = _Prefix(*encoded, ms)
+        if detector is None:
+            return node, None, node.ms
+        rows = (node.posterior, len(frames) - node.posterior.n_frames)
+        if detector is not self._detector:
+            self._detector, self._skipped = detector, []
+        if node.words is None:
+            for skipped in self._skipped:
+                detector.update(*skipped)
+            self._skipped.clear()
+            node.words = detector.update(*rows)
         else:
-            detector.defer(posterior, first)
-        return states.words
+            self._skipped.append(rows)
+        return node, node.words, node.ms
 
     def decoder_step(
         self, states: _Prefix, target_prefix_ids: Sequence[int]
@@ -310,13 +312,13 @@ def sweep(
     one source pass: every source prefix is encoded once, by the first
     point that reads it, and its words are counted once, by the first
     adaptive point (all have ``spec.base_config``'s source convention);
-    both are handed to every later point.  This relies on the model being
-    deterministic and on its encode calls leaving the states and
-    posteriors they were given or returned before unchanged (see
-    :meth:`ModelInterface.encode_more`).  Each point is still charged the
-    encode time it would have spent alone -- the time the shared encode
-    took -- so the computation-aware numbers stay per point, and each
-    repeat times its own encodes.
+    both are handed to every later point, behind the engine's one source
+    call per READ.  This relies on the model being deterministic and on
+    its encode calls leaving the states and posteriors they were given or
+    returned before unchanged (see :meth:`ModelInterface.encode_more`).
+    Each point is still charged the encode time it would have spent alone
+    -- the time the shared encode took -- so the computation-aware numbers
+    stay per point, and each repeat times its own encodes.
 
     A repeat holds the states and posterior of every source prefix in the
     corpus until its last point.  For a model whose states or posterior
@@ -415,7 +417,14 @@ def read_curve_csv(path: str | Path) -> list[CurvePoint]:
 def write_eval_outputs(
     out_dir: str | Path, corpus_result: CorpusResult
 ) -> None:
-    """Write ``metrics.json`` plus per-utterance ``logs/<id>.jsonl``."""
+    """Write ``metrics.json`` plus per-utterance ``logs/<id>.jsonl``.
+
+    Every id must be a file name, as :func:`~simulharness.core.load_manifest`
+    requires; otherwise this raises ``ValueError`` and writes nothing.
+    """
+    for result in corpus_result.results:
+        if not _is_file_name(result.utt_id):
+            raise ValueError(f"id {result.utt_id!r} is not a file name")
     out_dir = Path(out_dir)
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)

@@ -6,9 +6,9 @@ the encoder states of the shorter prefix and returns new states plus a CTC
 posterior over the source vocabulary for the *tail* of the prefix.  Rows
 before that tail are final, so detection never looks at them again.
 ``decoder_step`` scores the next target token given those states and the
-committed target prefix.  The engine reaches ``encode_more`` through
-``timed_encode``, which also returns the compute time to charge for it, and
-counts adaptive source words through ``detect_words``.  A model that cannot
+committed target prefix.  The engine charges the time ``encode_more`` took
+to the computation-aware clock, and a sweep shares each prefix's encoding
+between its grid points behind the same call.  A model that cannot
 encode incrementally implements only ``encode_prefix``; the default
 ``encode_more`` re-encodes the whole prefix, and its posterior then covers
 every frame.  Both encode calls must be functions of their arguments: a sweep
@@ -102,23 +102,21 @@ class ModelInterface(ABC):
         """
         return self.encode_prefix(frames)
 
-    def timed_encode(
-        self, states: object, frames: Sequence[Frame], start: int
-    ) -> tuple[object, CtcPosterior, float]:
-        """:meth:`encode_more`, plus the milliseconds of compute to charge
-        for it -- the engine adds them to the computation-aware clock."""
+    def _read(
+        self, states: object, frames: Sequence[Frame], start: int,
+        detector: AdaptiveDetector | None,
+    ) -> tuple[object, int | None, float]:
+        """The engine's one source call per READ: :meth:`encode_more`, then
+        the complete source words counted with an adaptive ``detector``
+        (``None`` without one), and the milliseconds of encode to charge to
+        the computation-aware clock.  A sweep's shared encoder overrides it."""
         begin = time.perf_counter()
         states, posterior = self.encode_more(states, frames, start)
-        return states, posterior, (time.perf_counter() - begin) * 1000.0
-
-    def detect_words(
-        self, states: object, posterior: CtcPosterior, first: int,
-        detector: AdaptiveDetector,
-    ) -> int:
-        """Count the complete source words of the prefix just encoded to
-        ``states`` and ``posterior`` (rows from frame ``first`` on) with the
-        engine's ``detector``.  A sweep shares the count, as the encoding."""
-        return detector.update(posterior, first)
+        ms = (time.perf_counter() - begin) * 1000.0
+        if detector is None:
+            return states, None, ms
+        first = len(frames) - posterior.n_frames
+        return states, detector.update(posterior, first), ms
 
     @abstractmethod
     def decoder_step(

@@ -341,22 +341,18 @@ class SimulEngine:
 
     def _refresh_detection(self, start: int) -> None:
         """Encode the frames from ``start`` on and update detection."""
-        states, posterior, ms = self._model.timed_encode(
-            self._encoder_states, self._frames, start
+        states, words, ms = self._model._read(
+            self._encoder_states, self._frames, start, self._detector
         )
         self._compute_ms += ms
         self._encoder_states = states
-        if self._detector is None:
-            self._state.detected = fixed_word_count(
+        if words is None:
+            words = fixed_word_count(
                 self._state.received_ms,
                 self._config.avg_word_ms,
                 frame_ms=self._frame_ms,
             ).word_count
-        else:
-            self._state.detected = self._model.detect_words(
-                states, posterior, len(self._frames) - posterior.n_frames,
-                self._detector,
-            )
+        self._state.detected = words
 
     def _drain_writes(self) -> list[Event]:
         state = self._state

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+from dataclasses import replace
 from operator import lt
 
 import pytest
@@ -507,30 +508,40 @@ def test_a_shared_encode_holds_off_the_collector_and_restores_it():
 
 @pytest.fixture
 def counting_detector(monkeypatch):
-    """Every engine's adaptive detector counts, over all instances, its
-    updates (replays included) and the updates that first replay rows
-    deferred to it."""
+    """Every engine's adaptive detector counts its updates (``count``), and
+    all of them together (``updates``); ``detectors`` holds every detector,
+    in the order the engines made them."""
 
     class CountingDetector(AdaptiveDetector):
-        updates = replays = 0
+        updates = 0
+        detectors = []
 
         def __init__(self, convention):
             super().__init__(convention)
-            self.pending = 0
-
-        def defer(self, posterior, first):
-            self.pending += 1
-            super().defer(posterior, first)
+            self.count = 0
+            CountingDetector.detectors.append(self)
 
         def update(self, posterior, first):
             CountingDetector.updates += 1
-            if self.pending:
-                CountingDetector.replays += 1
-                self.pending = 0
+            self.count += 1
             return super().update(posterior, first)
 
     monkeypatch.setattr(policy, "AdaptiveDetector", CountingDetector)
     return CountingDetector
+
+
+def _assert_updates_past_earlier_reads(detectors, reads):
+    """``reads[j][u]`` is the number of chunks the j-th adaptive grid point
+    read of utterance u, and ``detectors`` are the sweep's, point by point
+    and utterance by utterance.  On each utterance, a point's detector
+    updates once per chunk that point read where it read past every earlier
+    adaptive point, and never otherwise, wherever the skipped rows wait."""
+    expected = [
+        n if all(n > earlier[u] for earlier in reads[:j]) else 0
+        for j, point_reads in enumerate(reads)
+        for u, n in enumerate(point_reads)
+    ]
+    assert [d.count for d in detectors] == expected
 
 
 def _gappy(model, words, utt_id):
@@ -552,8 +563,17 @@ def test_a_sweep_detects_each_chunk_once_per_repeat(
     )
     sweep(utts, model, spec)
     assert counting_detector.updates == n_chunks * spec.runs_per_point
-    # every later point reads no further than the first adaptive one
-    assert counting_detector.replays == 0
+    # every point reads every chunk, so only the first adaptive one updates
+    reads = [
+        [len(segment_stream(u, spec.base_config.step_ms)) for u in utts]
+    ] * len(k_values)
+    repeat = len(reads) * len(utts)
+    detectors = counting_detector.detectors
+    assert len(detectors) == repeat * spec.runs_per_point
+    for start in range(0, len(detectors), repeat):
+        _assert_updates_past_earlier_reads(
+            detectors[start:start + repeat], reads
+        )
 
 
 #: source words as SentencePiece pieces: a word opens at a ``▁`` piece
@@ -594,13 +614,15 @@ def test_a_sweep_counts_sentencepiece_source_words_as_plain_runs(
     _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
 
 
+@pytest.mark.parametrize("model_class", [LexiconMockModel, _Reencoder])
 def test_a_point_that_reads_past_the_counted_prefixes_replays_them(
-    monkeypatch, counting_detector
+    monkeypatch, counting_detector, model_class
 ):
     """With a word cap, a point with a small k stops reading early, so a
-    later point reads prefixes no earlier point counted: it replays the
-    rows it deferred, and then counts them for the points after it."""
-    model = make_model()
+    later point reads prefixes no earlier point counted: its detector takes
+    the rows it skipped, and then counts them for the points after it.  A
+    re-encoder's posteriors start at frame 0, so taking them rewinds it."""
+    model = model_class(TINY_LEXICON)
     utts = _corpus(model, n_utts=3, n_words=6) + [
         _gappy(model, ["da", "esel", "geht", "ja", "hin"], "gappy")
     ]
@@ -608,6 +630,7 @@ def test_a_point_that_reads_past_the_counted_prefixes_replays_them(
         k_values=(1, 2, 4), base_config=PolicyConfig(max_target_words=2)
     )
     _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+    swept = list(counting_detector.detectors)
     reads = [
         [
             sum(e.kind is ActionKind.READ for e in r.events)
@@ -617,10 +640,10 @@ def test_a_point_that_reads_past_the_counted_prefixes_replays_them(
         if config.detection is DetectionKind.ADAPTIVE
     ]
     # each adaptive point after the first reads further on every utterance
-    # than the points before it, so it replays once per utterance
+    # than the points before it, so it takes the rows it skipped
     for shorter, longer in zip(reads, reads[1:]):
         assert all(map(lt, shorter, longer))
-    assert counting_detector.replays == (len(reads) - 1) * len(utts)
+    _assert_updates_past_earlier_reads(swept[:len(reads) * len(utts)], reads)
 
 
 # ---------------------------------------------------------------------------
@@ -672,6 +695,22 @@ def test_write_eval_outputs_layout(tmp_path):
         .read_text(encoding="utf-8").splitlines()
     )
     assert json.loads(broken_lines[-1])["error"] == corpus.results[2].error
+
+
+@pytest.mark.parametrize("bad_id", ["../../escaped", "..", "a/b", "x\\y"])
+def test_write_eval_outputs_refuses_an_id_that_is_no_file_name(
+    tmp_path, bad_id
+):
+    """An id names its log, as in a manifest: one that is no file name
+    could write outside ``out_dir``, so nothing is written at all."""
+    model = make_model()
+    good, bad = _corpus(model, n_utts=2)
+    corpus = evaluate_corpus(
+        [good, replace(bad, id=bad_id)], model, PolicyConfig(k=2)
+    )
+    with pytest.raises(ValueError, match="is not a file name"):
+        write_eval_outputs(tmp_path / "a" / "b" / "out", corpus)
+    assert not list(tmp_path.iterdir())
 
 
 def test_the_log_of_a_failed_utterance_reads_back(tmp_path):

@@ -91,70 +91,3 @@ from .service import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BOUNDARY_GAIN",
-    "BPE_CONTINUATION",
-    "SP_WORD_START",
-    "ActionKind",
-    "AdaptiveDetector",
-    "AttentionMask",
-    "Convention",
-    "CorpusResult",
-    "CtcPosterior",
-    "CurvePoint",
-    "DelaySequence",
-    "DetectionKind",
-    "DetectionResult",
-    "Event",
-    "Frame",
-    "Hypothesis",
-    "LexiconMockModel",
-    "ManifestError",
-    "MetricsReport",
-    "ModelInterface",
-    "PolicyConfig",
-    "Regime",
-    "ServiceError",
-    "SimulEngine",
-    "SimulRunError",
-    "SimulState",
-    "StreamTranslationServer",
-    "SubwordToken",
-    "SweepSpec",
-    "Utterance",
-    "UtteranceResult",
-    "WireMessage",
-    "adaptive_word_count",
-    "aggregate_metrics",
-    "average_lagging",
-    "build_synthetic_utterance",
-    "client_evaluate",
-    "corpus_bleu",
-    "ctc_greedy_collapse",
-    "decide",
-    "default_max_target_words",
-    "evaluate_corpus",
-    "extend_word_spans",
-    "fixed_word_count",
-    "latency_regime",
-    "length_adaptive_average_lagging",
-    "length_difference",
-    "load_manifest",
-    "load_model_config",
-    "offline_greedy_translate",
-    "read_curve_csv",
-    "read_event_log",
-    "run_simultaneous",
-    "segment_stream",
-    "stream_utterance",
-    "subword_tokens",
-    "sweep",
-    "synthetic_corpus",
-    "tokenize_13a",
-    "waitk_attention_mask",
-    "word_spans",
-    "write_curve_csv",
-    "write_eval_outputs",
-    "write_event_log",
-]

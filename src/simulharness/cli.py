@@ -38,8 +38,6 @@ from .model import LexiconMockModel, load_model_config, synthetic_corpus
 from .policy import PolicyConfig, SimulRunError, offline_greedy_translate
 from .service import StreamTranslationServer, check_timeout_s, client_evaluate
 
-logger = logging.getLogger(__name__)
-
 _PATH_IN = click.Path(exists=True, dir_okay=False, path_type=Path)
 _PATH_OUT_DIR = click.Path(file_okay=False, path_type=Path)
 

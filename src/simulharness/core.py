@@ -9,15 +9,12 @@ evaluation corpora.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
-
-logger = logging.getLogger(__name__)
 
 #: Suffix marking "this token continues the current word" (BPE-style).
 BPE_CONTINUATION = "@@"
@@ -108,6 +105,8 @@ class Utterance:
     word_end_frames: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.id, str):
+            raise ValueError(f"id must be a str, got {self.id!r}")
         object.__setattr__(self, "frames", tuple(self.frames))
         if self.transcript is not None:
             object.__setattr__(self, "transcript", tuple(self.transcript))
@@ -389,7 +388,7 @@ def _is_file_name(utt_id: str) -> bool:
         size = len(f"{utt_id}.jsonl".encode("utf-8"))
     except UnicodeEncodeError:  # a lone surrogate, which JSON can carry
         return False
-    return (utt_id not in (".", "..") and _NOT_IN_IDS.isdisjoint(utt_id)
+    return (utt_id not in ("", ".", "..") and _NOT_IN_IDS.isdisjoint(utt_id)
             and size <= _MAX_NAME_BYTES)
 
 

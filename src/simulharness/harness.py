@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import Convention, Frame, Hypothesis, Utterance, _is_file_name
+from .core import Frame, Hypothesis, Utterance, _is_file_name
 from .detection import AdaptiveDetector, CtcPosterior, DetectionKind
 from .metrics import DelaySequence, MetricsReport, aggregate_metrics
 from .model import ModelInterface
@@ -209,9 +209,12 @@ class _Prefix:
         self.children: dict[tuple[int, ...], _Prefix] = {}
 
 
-class _SharedEncoder(ModelInterface):
+class _SharedEncoder:
     """``model`` with each source prefix encoded once, for all the grid
     points of one sweep repeat.
+
+    It is no model: it copies the three values the engine reads once and
+    has only the two calls the engine makes after that.
 
     The encodings form a trie: the root is the empty prefix, and a child
     extends its parent by one chunk, keyed by the identities of the chunk's
@@ -231,27 +234,12 @@ class _SharedEncoder(ModelInterface):
 
     def __init__(self, model: ModelInterface) -> None:
         self._model = model
+        self.eos_id = model.eos_id
+        self.target_vocab = model.target_vocab
+        self.target_convention = model.target_convention
         self._root = _Prefix(None, None, 0.0)
         self._detector: AdaptiveDetector | None = None
         self._skipped: list[tuple[CtcPosterior, int]] = []
-
-    @property
-    def target_vocab(self) -> tuple[str, ...]:
-        return self._model.target_vocab
-
-    @property
-    def eos_id(self) -> int:
-        return self._model.eos_id
-
-    @property
-    def target_convention(self) -> Convention:
-        return self._model.target_convention
-
-    def encode_prefix(
-        self, frames: Sequence[Frame]
-    ) -> tuple[_Prefix, CtcPosterior]:
-        node = self._read(None, frames, 0, None)[0]
-        return node, node.posterior
 
     def _read(
         self, states: _Prefix | None, frames: Sequence[Frame], start: int,
@@ -419,12 +407,17 @@ def write_eval_outputs(
 ) -> None:
     """Write ``metrics.json`` plus per-utterance ``logs/<id>.jsonl``.
 
-    Every id must be a file name, as :func:`~simulharness.core.load_manifest`
-    requires; otherwise this raises ``ValueError`` and writes nothing.
+    Every id must be a file name, and no two may be equal, as
+    :func:`~simulharness.core.load_manifest` requires; otherwise this raises
+    ``ValueError`` and writes nothing.
     """
+    seen: set[str] = set()
     for result in corpus_result.results:
         if not _is_file_name(result.utt_id):
             raise ValueError(f"id {result.utt_id!r} is not a file name")
+        if result.utt_id in seen:
+            raise ValueError(f"duplicate id {result.utt_id!r}")
+        seen.add(result.utt_id)
     out_dir = Path(out_dir)
     logs_dir = out_dir / "logs"
     logs_dir.mkdir(parents=True, exist_ok=True)

@@ -109,7 +109,7 @@ class ModelInterface(ABC):
         """The engine's one source call per READ: :meth:`encode_more`, then
         the complete source words counted with an adaptive ``detector``
         (``None`` without one), and the milliseconds of encode to charge to
-        the computation-aware clock.  A sweep's shared encoder overrides it."""
+        the computation-aware clock.  A sweep's shared encoder has its own."""
         begin = time.perf_counter()
         states, posterior = self.encode_more(states, frames, start)
         ms = (time.perf_counter() - begin) * 1000.0

@@ -20,7 +20,7 @@ metrics reproduce a local run exactly, and its ``t_server_ms`` is the
 engine's wall delay (source time read plus compute).  Under fast pacing the
 client reports that, so computation-aware metrics are the server's.  Under
 real-time pacing it clamps each arrival to at least the ideal delay, so
-compute shorter than a step vanishes (item 3a of ROADMAP.md).
+compute shorter than a step vanishes from the computation-aware metrics.
 """
 
 from __future__ import annotations

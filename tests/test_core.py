@@ -199,6 +199,16 @@ def test_utterance_computes_duration_and_validates():
         Utterance(id="u", frames=ragged)
 
 
+@pytest.mark.parametrize(
+    "utt_id", [5, None, b"u", ("u",)], ids=["int", "none", "bytes", "tuple"]
+)
+def test_an_utterance_id_must_be_a_str(utt_id):
+    """An id names a log file, so one of another type is refused here,
+    not by a ``TypeError`` when the log is written."""
+    with pytest.raises(ValueError, match="id must be a str"):
+        Utterance(id=utt_id, frames=())
+
+
 def test_empty_utterance_has_no_frame_duration():
     utt = Utterance(id="empty", frames=())
     assert utt.duration_ms == 0

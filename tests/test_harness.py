@@ -327,11 +327,16 @@ def _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec):
         )
 
 
+@pytest.mark.parametrize("target_convention", ["bpe", "sp"])
 @pytest.mark.parametrize("eos_early", [False, True])
 def test_a_shared_encoding_leaves_every_point_as_a_plain_run(
-    monkeypatch, eos_early
+    monkeypatch, eos_early, target_convention
 ):
-    model = make_model(eos_early=eos_early)
+    # two-letter pieces, so the target convention decides where words end
+    model = make_model(
+        eos_early=eos_early, target_convention=target_convention,
+        target_piece_len=2,
+    )
     utts = _corpus(model, n_utts=3, n_words=6) + [
         # silence between words moves adaptive detection off the fixed one
         aligned_utterance(
@@ -697,12 +702,13 @@ def test_write_eval_outputs_layout(tmp_path):
     assert json.loads(broken_lines[-1])["error"] == corpus.results[2].error
 
 
-@pytest.mark.parametrize("bad_id", ["../../escaped", "..", "a/b", "x\\y"])
+@pytest.mark.parametrize("bad_id", ["../../escaped", "..", "a/b", "x\\y", ""])
 def test_write_eval_outputs_refuses_an_id_that_is_no_file_name(
     tmp_path, bad_id
 ):
     """An id names its log, as in a manifest: one that is no file name
-    could write outside ``out_dir``, so nothing is written at all."""
+    could write outside ``out_dir`` (or, empty, a hidden ``.jsonl``), so
+    nothing is written at all."""
     model = make_model()
     good, bad = _corpus(model, n_utts=2)
     corpus = evaluate_corpus(
@@ -710,6 +716,20 @@ def test_write_eval_outputs_refuses_an_id_that_is_no_file_name(
     )
     with pytest.raises(ValueError, match="is not a file name"):
         write_eval_outputs(tmp_path / "a" / "b" / "out", corpus)
+    assert not list(tmp_path.iterdir())
+
+
+def test_write_eval_outputs_refuses_duplicate_ids(tmp_path):
+    """Two results with one id would write one log over the other, so
+    nothing is written at all."""
+    model = make_model()
+    first, second = _corpus(model, n_utts=2)
+    corpus = evaluate_corpus(
+        [first, replace(second, id=first.id)], model, PolicyConfig(k=2)
+    )
+    assert len(corpus.results) == 2
+    with pytest.raises(ValueError, match="duplicate id 'utt-0'"):
+        write_eval_outputs(tmp_path / "out", corpus)
     assert not list(tmp_path.iterdir())
 
 

@@ -347,7 +347,7 @@ def serve_command(model_path: Path, host: str, port: int) -> None:
 @_policy_options
 @click.option("--pacing", type=click.Choice(["fast", "realtime"]),
               default="fast", show_default=True,
-              help="Send chunks back to back, or one per step of wall time.")
+              help="Send chunks back to back, or each once its audio exists.")
 @click.option("--timeout-s", type=float, callback=_timeout_s,
               default=30.0, show_default=True,
               help="Socket timeout per utterance, in seconds: above 0 and "

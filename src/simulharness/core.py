@@ -210,52 +210,33 @@ def word_spans(
             raise ValueError("mixed subword conventions in one sequence")
 
     spans: list[tuple[str, int]] = []
+    pieces: list[str] = []  # the open word's tokens, markers stripped
 
-    if convention is Convention.BPE_SUFFIX:
-        pieces: list[str] = []
-        for i, tok in enumerate(tokens):
-            surface = tok.surface
-            if surface.endswith(BPE_CONTINUATION):
-                pieces.append(surface[: -len(BPE_CONTINUATION)])
-                continue
-            pieces.append(surface)
-            word = "".join(pieces)
-            if word:
-                spans.append((word, i))
-            pieces = []
-        partial = bool(pieces)
-        if partial and eos:
-            word = "".join(pieces)
-            if word:
-                spans.append((word, len(tokens) - 1))
-            partial = False
-        return spans, partial
-
-    # SP_PREFIX: a word stays open until the next word-start token arrives.
-    word_open = False
-    pieces = []
-    last_index = -1
-    for i, tok in enumerate(tokens):
-        surface = tok.surface
-        if surface.startswith(SP_WORD_START):
-            if word_open:
-                word = "".join(pieces)
-                if word:
-                    spans.append((word, last_index))
-            word_open = True
-            pieces = [surface[len(SP_WORD_START) :]]
-        else:
-            # a leading continuation token opens a word implicitly
-            word_open = True
-            pieces.append(surface)
-        last_index = i
-    partial = word_open
-    if word_open and eos:
+    def close(end: int) -> None:
         word = "".join(pieces)
         if word:
-            spans.append((word, last_index))
-        partial = False
-    return spans, partial
+            spans.append((word, end))
+        pieces.clear()
+
+    # A word ends after a BPE token without the suffix, or just before an
+    # SP token with the prefix (a leading continuation opens one implicitly).
+    bpe = convention is Convention.BPE_SUFFIX
+    for i, tok in enumerate(tokens):
+        surface = tok.surface
+        if bpe:
+            if surface.endswith(BPE_CONTINUATION):
+                pieces.append(surface[: -len(BPE_CONTINUATION)])
+            else:
+                pieces.append(surface)
+                close(i)
+        elif surface.startswith(SP_WORD_START):
+            close(i - 1)
+            pieces.append(surface[len(SP_WORD_START) :])
+        else:
+            pieces.append(surface)
+    if eos:
+        close(len(tokens) - 1)
+    return spans, bool(pieces)
 
 
 def can_complete_word(token: SubwordToken) -> bool:

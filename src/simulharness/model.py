@@ -523,11 +523,10 @@ def synthetic_corpus(
     rng: random.Random,
     min_words: int = 1,
     max_words: int = 12,
-    per_word_ms: int = 280,
-    frame_ms: int = 10,
     id_prefix: str = "utt",
 ) -> list[Utterance]:
-    """Random utterances over a mock model's vocabulary, with references."""
+    """Random utterances over a mock model's vocabulary, with references:
+    280 ms per word in 10 ms frames, with no silence."""
     vocab = model.source_word_index
     source_words = sorted(vocab)
     corpus = []
@@ -539,8 +538,7 @@ def synthetic_corpus(
         corpus.append(
             build_synthetic_utterance(
                 words,
-                [per_word_ms] * len(words),
-                frame_ms=frame_ms,
+                [280] * len(words),
                 vocab=vocab,
                 reference=model.translate_words(words),
                 utt_id=f"{id_prefix}-{n:04d}",

@@ -19,8 +19,8 @@ Timing: a WORD carries the engine's source-time delay, so ideal latency
 metrics reproduce a local run exactly, and its ``t_server_ms`` is the
 engine's wall delay (source time read plus compute).  Under fast pacing the
 client reports that, so computation-aware metrics are the server's.  Under
-real-time pacing it clamps each arrival to at least the ideal delay, so
-compute shorter than a step vanishes from the computation-aware metrics.
+real-time pacing it sends each chunk once its audio exists and reports each
+WORD's raw arrival, which charges compute and transport as a listener would.
 """
 
 from __future__ import annotations
@@ -300,10 +300,10 @@ def stream_utterance(
     """Stream one utterance to a server and collect its remote hypothesis.
 
     ``pacing`` is ``"fast"`` (send chunks back to back) or ``"realtime"``
-    (one chunk per ``step_ms`` of wall time).  Returns the hypothesis --
-    ideal delays from the wire, wall delays from the server engine (fast) or
-    client arrival clamped to the ideal (realtime) -- plus the raw per-word
-    arrival times in ms.
+    (send each chunk once its audio exists on the session clock).  Returns
+    the hypothesis -- ideal delays from the wire, wall delays from the server
+    engine (fast) or the client's raw arrival times (realtime) -- plus the
+    raw per-word arrival times in ms.
     """
     _check_pacing(pacing)
     check_timeout_s(timeout_s)
@@ -352,10 +352,13 @@ def stream_utterance(
             {"config": config.to_dict(), "frame_ms": utterance.frame_ms},
         )
         try:
+            audio_ms = 0
             for chunk in chunks:
-                transmit(KIND_CHUNK, {"frames": chunk})
                 if pacing == "realtime":
-                    time.sleep(config.step_ms / 1000.0)
+                    # due once its audio exists, on the session clock
+                    audio_ms += len(chunk) * utterance.frame_ms
+                    time.sleep(max(0.0, audio_ms - now_ms()) / 1000.0)
+                transmit(KIND_CHUNK, {"frames": chunk})
             transmit(KIND_EOS_SRC, None)
         except OSError:
             pass  # the reader will surface the server's last word
@@ -379,7 +382,7 @@ def stream_utterance(
         words.append(message.payload["word"])
         ideal.append(int(message.payload["ideal_ms"]))
         wall.append(float(message.t_server_ms) if pacing == "fast"
-                    else max(float(message.payload["ideal_ms"]), arrival_ms))
+                    else arrival_ms)
     convention = Convention(final.payload["convention"])
     tokens = tuple(
         SubwordToken(surface, convention)

@@ -108,6 +108,42 @@ def test_word_spans_drops_empty_words():
     assert spans == [("ok", 1)]
 
 
+#: surfaces with the boundary markers anywhere, not only where
+#: ``subword_tokens`` puts them
+_ANY_SURFACES = [
+    "", "@@", "a@@", "▁", "▁b", "c▁", "@@▁", "▁@@", "d", "e@@f", "▁▁", "@@@@",
+]
+
+
+@given(
+    surfaces=st.lists(st.sampled_from(_ANY_SURFACES), max_size=8),
+    convention=st.sampled_from(Convention),
+    eos=st.booleans(),
+)
+def test_word_spans_follows_its_definition_on_any_surfaces(
+    surfaces, convention, eos
+):
+    # Word ends are the BPE tokens without the suffix, or the tokens just
+    # before an SP token with the prefix; with eos the last token is one too.
+    # A word is its tokens' surfaces with one marker stripped each.
+    n = len(surfaces)
+    if convention is Convention.BPE_SUFFIX:
+        ends = [i for i, s in enumerate(surfaces) if not s.endswith("@@")]
+        pieces = [s.removesuffix("@@") for s in surfaces]
+    else:
+        ends = [i - 1 for i, s in enumerate(surfaces) if i and s[:1] == "▁"]
+        pieces = [s.removeprefix("▁") for s in surfaces]
+    if eos and n and n - 1 not in ends:
+        ends.append(n - 1)
+    starts = [0] + [e + 1 for e in ends]
+    words = [("".join(pieces[a : e + 1]), e) for a, e in zip(starts, ends)]
+
+    tokens = [SubwordToken(s, convention) for s in surfaces]
+    spans, partial = word_spans(tokens, convention, eos=eos)
+    assert spans == [(word, e) for word, e in words if word]
+    assert partial is (n > 0 and (ends or [-1])[-1] < n - 1)
+
+
 # ---------------------------------------------------------------------------
 # subword_tokens round trip (property)
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_remote_run_equals_local_run(server, detection):
     assert remote.ideal_delays_ms == local.ideal_delays_ms
     assert remote.truncated == local.truncated
     assert len(arrivals) == len(remote.words)
-    # client wall clock is clamped to the ideal reading schedule
+    # a server engine's wall delay adds compute to the ideal delay
     assert all(
         wall >= ideal
         for wall, ideal in zip(remote.wall_delays_ms, remote.ideal_delays_ms)
@@ -173,6 +173,28 @@ def test_realtime_pacing_still_translates(server):
         wall >= ideal
         for wall, ideal in zip(hyp.wall_delays_ms, hyp.ideal_delays_ms)
     )
+
+
+def test_realtime_remote_delays_count_compute_under_a_step():
+    """Each chunk leaves once its audio exists and each word's wall delay is
+    its raw arrival, so a model delay far under one step still shows in
+    AL_CA, and real-time AL_CA stays within one step of the local run's."""
+    delay_ms = 20
+    model = make_model(compute_delay_ms=delay_ms)
+    utts = [aligned_utterance(model, ["da", "esel", "geht", "haus"])]
+    config = PolicyConfig(k=2)
+    local = evaluate_corpus(utts, model, config).report
+    with StreamTranslationServer(model) as handle:
+        remote = client_evaluate(
+            handle.address, utts, config, pacing="realtime", timeout_s=10
+        )
+    assert remote.failures == ()
+    report = remote.report
+    assert (report.bleu, report.al_ms, report.laal_ms) == (
+        local.bleu, local.al_ms, local.laal_ms
+    )
+    assert report.al_ca_ms - report.al_ms >= delay_ms
+    assert report.al_ca_ms <= local.al_ca_ms + config.step_ms
 
 
 def test_fast_remote_wall_delays_are_the_server_engines(monkeypatch):

@@ -66,7 +66,7 @@ _as_frame = partial(tuple.__new__, Frame)
 
 
 def frames_from_rows(rows: Sequence) -> tuple[Frame, ...]:
-    """Frames from feature rows, as a manifest or a ``CHUNK`` carries them.
+    """Frames from feature rows, as a manifest carries them.
 
     Every row must be a list of numbers, each an ``int`` or a ``float`` (a
     ``bool`` is not a number here).  Anything else raises ``ValueError``

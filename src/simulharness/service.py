@@ -9,11 +9,14 @@ interleaves WORD messages exactly when the in-process engine would emit them
 its ``run`` loop -- and ends the target stream with EOS_TGT.  A session that
 fails ends in one place, with one ERROR message (``protocol: …``,
 ``config: …`` or ``model: …``) and a close.  A client that stops sending
-before EOS_SRC gets one too; a connection that sends nothing gets none.
+before EOS_SRC, or sends nothing for :attr:`_SessionHandler.timeout`
+seconds, gets one too; a connection that closes without a word gets none.
 
 Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms`` (each side stamps its own
 clock, milliseconds since its start of session; the other field is null).
+A CHUNK payload is ``{"dim": D, "f64": S}``, ``S`` being the base64 of its
+frames' values as little-endian float64, ``D`` to a row: bit for bit.
 
 Timing: a WORD carries the engine's source-time delay, so ideal latency
 metrics reproduce a local run exactly, and its ``t_server_ms`` is the
@@ -25,18 +28,21 @@ WORD's raw arrival, which charges compute and transport as a listener would.
 
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import socket
 import socketserver
+import struct
 import threading
 import time
 import uuid
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
-from .core import decode_json, frames_from_rows, segment_stream
+from .core import _as_frame, decode_json, segment_stream
 from .harness import CorpusResult, evaluate_utterance, score_results
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine, SimulRunError
@@ -74,14 +80,8 @@ class WireMessage:
     t_server_ms: float | None = None
 
     def to_line(self) -> bytes:
-        record = {
-            "kind": self.kind,
-            "session": self.session,
-            "payload": self.payload,
-            "t_client_ms": self.t_client_ms,
-            "t_server_ms": self.t_server_ms,
-        }
-        return (json.dumps(record) + "\n").encode("utf-8")
+        # a frozen dataclass's instance dict holds its fields, in order
+        return (json.dumps(vars(self)) + "\n").encode("utf-8")
 
     @classmethod
     def parse(cls, line: bytes | str) -> "WireMessage":
@@ -99,13 +99,33 @@ class WireMessage:
         session = record.get("session")
         if not isinstance(session, str) or not session:
             raise ValueError("message must carry a session id")
-        return cls(
-            kind=kind,
-            session=session,
-            payload=record.get("payload"),
-            t_client_ms=record.get("t_client_ms"),
-            t_server_ms=record.get("t_server_ms"),
+        return cls(kind, session, record.get("payload"),
+                   record.get("t_client_ms"), record.get("t_server_ms"))
+
+
+def _chunk_payload(frames: Sequence[Frame]) -> dict:
+    """A CHUNK payload: the frames' width and their values as one block."""
+    dim = len(frames[0])
+    data = struct.pack(f"<{len(frames) * dim}d", *chain.from_iterable(frames))
+    return {"dim": dim, "f64": base64.b64encode(data).decode("ascii")}
+
+
+def _chunk_frames(payload: object) -> tuple[Frame, ...]:
+    """The frames of a CHUNK payload; ``ValueError`` says what is wrong."""
+    if not isinstance(payload, dict) or not payload.get("f64"):
+        raise ValueError("CHUNK carries no frames")
+    dim, text = payload.get("dim"), payload["f64"]
+    if not isinstance(text, str) or type(dim) is not int or dim < 1:
+        raise ValueError("CHUNK needs a string f64 and an int dim above 0")
+    try:
+        data = base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"CHUNK f64 is not base64: {exc}") from None
+    if not data or len(data) % (8 * dim):
+        raise ValueError(
+            f"CHUNK f64 holds {len(data)} bytes, not rows of {dim} float64s"
         )
+    return tuple(map(_as_frame, struct.iter_unpack(f"<{dim}d", data)))
 
 
 # ---------------------------------------------------------------------------
@@ -130,18 +150,25 @@ def _client_message(raw: bytes) -> WireMessage:
 class _SessionHandler(socketserver.StreamRequestHandler):
     """One streaming session: HELLO -> CHUNK* -> EOS_SRC -> close."""
 
+    #: seconds a read may wait for the client before the session ends
+    timeout = 60
+
     def handle(self) -> None:
         self._started = time.perf_counter()
         self._session: str | None = None
         try:
             try:
                 self._converse()
+                return
+            except TimeoutError:  # an OSError, so caught first
+                err = _SessionError(f"protocol: idle for {self.timeout} s")
             except _SessionError as exc:
-                # only a model failure has a cause, logged with its traceback
-                logger.warning(
-                    "session %s: %s", self._session, exc, exc_info=exc.__cause__
-                )
-                self._send(KIND_ERROR, {"message": str(exc)})
+                err = exc
+            # only a model failure has a cause, logged with its traceback
+            logger.warning(
+                "session %s: %s", self._session, err, exc_info=err.__cause__
+            )
+            self._send(KIND_ERROR, {"message": str(err)})
         except OSError:
             logger.info("session %s: connection dropped", self._session)
 
@@ -201,15 +228,11 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 raise _SessionError("protocol: session already started")
             if message.kind == KIND_EOS_SRC:
                 return
-            payload = message.payload
-            rows = payload.get("frames") if isinstance(payload, dict) else None
-            if not isinstance(rows, list) or not rows:
-                raise _SessionError("protocol: CHUNK carries no frames")
             try:
-                frames = frames_from_rows(rows)
+                frames = _chunk_frames(message.payload)
             except ValueError as exc:
-                raise _SessionError(f"protocol: bad frame row: {exc}") from None
-            widths.update(map(len, frames))
+                raise _SessionError(f"protocol: {exc}") from None
+            widths.add(len(frames[0]))
             if len(widths) > 1:
                 raise _SessionError(
                     "protocol: all frames in a session must share a feature "
@@ -324,14 +347,8 @@ def stream_utterance(
         def transmit(kind: str, payload: object) -> None:
             # unbuffered: a send the server cuts off leaves nothing behind
             # for a later flush into the dead socket
-            sock.sendall(
-                WireMessage(
-                    kind=kind,
-                    session=session,
-                    payload=payload,
-                    t_client_ms=now_ms(),
-                ).to_line()
-            )
+            message = WireMessage(kind, session, payload, now_ms())
+            sock.sendall(message.to_line())
 
         def read_loop() -> None:
             try:
@@ -358,7 +375,7 @@ def stream_utterance(
                     # due once its audio exists, on the session clock
                     audio_ms += len(chunk) * utterance.frame_ms
                     time.sleep(max(0.0, audio_ms - now_ms()) / 1000.0)
-                transmit(KIND_CHUNK, {"frames": chunk})
+                transmit(KIND_CHUNK, _chunk_payload(chunk))
             transmit(KIND_EOS_SRC, None)
         except OSError:
             pass  # the reader will surface the server's last word
@@ -373,31 +390,18 @@ def stream_utterance(
         detail = (final.payload or {}).get("message") if final else "no reply"
         raise ServiceError(f"remote error: {detail}")
 
-    words: list[str] = []
-    ideal: list[int] = []
-    wall: list[float] = []
-    for message, arrival_ms in received:
-        if message.kind != KIND_WORD:
-            continue
-        words.append(message.payload["word"])
-        ideal.append(int(message.payload["ideal_ms"]))
-        wall.append(float(message.t_server_ms) if pacing == "fast"
-                    else arrival_ms)
+    replies = [m for m, _ in received if m.kind == KIND_WORD]
+    arrivals = [arrival for m, arrival in received if m.kind == KIND_WORD]
     convention = Convention(final.payload["convention"])
-    tokens = tuple(
-        SubwordToken(surface, convention)
-        for surface in final.payload["tokens"]
-    )
     hypothesis = Hypothesis(
-        tokens=tokens,
-        words=tuple(words),
-        ideal_delays_ms=tuple(ideal),
-        wall_delays_ms=tuple(wall),
+        tokens=tuple(SubwordToken(surface, convention)
+                     for surface in final.payload["tokens"]),
+        words=tuple(m.payload["word"] for m in replies),
+        ideal_delays_ms=tuple(int(m.payload["ideal_ms"]) for m in replies),
+        wall_delays_ms=(tuple(float(m.t_server_ms) for m in replies)
+                        if pacing == "fast" else tuple(arrivals)),
         truncated=bool(final.payload.get("truncated", False)),
     )
-    arrivals = [
-        arrival for (m, arrival) in received if m.kind == KIND_WORD
-    ]
     return hypothesis, arrivals
 
 

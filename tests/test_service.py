@@ -1,16 +1,20 @@
 from __future__ import annotations
 
+import base64
 import json
 import logging
 import os
 import socket
 import socketserver
+import struct
 import subprocess
 import sys
 import threading
+from itertools import chain
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 import simulharness
 
@@ -22,6 +26,7 @@ from helpers import (
 )
 from simulharness import (
     DelaySequence,
+    Frame,
     PolicyConfig,
     ServiceError,
     SimulEngine,
@@ -34,6 +39,7 @@ from simulharness import (
     segment_stream,
     stream_utterance,
 )
+from simulharness.service import _chunk_frames, _chunk_payload, _SessionHandler
 
 
 @pytest.fixture()
@@ -47,8 +53,22 @@ def server():
 # ---------------------------------------------------------------------------
 
 
+def _f64(values) -> bytes:
+    values = list(values)
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+def _block(rows, dim=None):
+    """A CHUNK payload of feature rows: their values, in order, as base64
+    little-endian float64 (rows of any width), ``dim`` that of the first."""
+    return {
+        "dim": len(rows[0]) if dim is None else dim,
+        "f64": base64.b64encode(_f64(chain.from_iterable(rows))).decode(),
+    }
+
+
 def test_wire_message_round_trip():
-    for payload in (None, {"frames": [[0.0, 1.0]]}, {"word": "x", "n": 3}):
+    for payload in (None, _block([[0.0, 1.0]]), {"word": "x", "n": 3}):
         message = WireMessage(
             "CHUNK", "sess-1", payload, t_client_ms=12.5, t_server_ms=None
         )
@@ -61,11 +81,45 @@ def test_wire_message_round_trip():
 def test_a_chunk_line_of_frames_equals_one_of_lists():
     utt = aligned_utterance(make_model(), ["da", "esel"])
     for chunk in segment_stream(utt, 280):
+        rows = [list(f.features) for f in chunk]
         lines = [
-            WireMessage("CHUNK", "s1", {"frames": frames}).to_line()
-            for frames in (chunk, [list(f.features) for f in chunk])
+            WireMessage("CHUNK", "s1", payload).to_line()
+            for payload in (_chunk_payload(chunk), _block(rows))
         ]
         assert lines[0] == lines[1]
+
+
+#: every float64 bit pattern, NaN payloads and signs included
+_ANY_F64 = st.integers(0, 2**64 - 1).map(
+    lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+)
+_VALUES = st.one_of(
+    st.floats(),
+    _ANY_F64,
+    st.sampled_from([-0.0, float("inf"), -float("inf"), 5e-324, 1e308]),
+    st.integers(-(2**80), 2**80),
+)
+
+
+@given(
+    st.integers(1, 9).flatmap(
+        lambda dim: st.lists(
+            st.lists(_VALUES, min_size=dim, max_size=dim),
+            min_size=1, max_size=5,
+        )
+    )
+)
+def test_a_chunk_block_carries_any_float64_bit_for_bit(rows):
+    frames = [Frame(row) for row in rows]
+    line = WireMessage("CHUNK", "s1", _chunk_payload(frames)).to_line()
+    payload = WireMessage.parse(line).payload
+    sent = base64.b64decode(payload["f64"])
+    assert sent == _f64(map(float, chain.from_iterable(rows)))
+    received = _chunk_frames(payload)
+    assert all(type(frame) is Frame for frame in received)
+    assert [len(frame) for frame in received] == [len(row) for row in rows]
+    # NaN != NaN, so the frames are compared by their bits
+    assert _f64(chain.from_iterable(received)) == sent
 
 
 @pytest.mark.parametrize(
@@ -303,22 +357,22 @@ _WIDER_ROWS = [row + [0.0, 0.0] for row in _DA_ROWS]
             "protocol: CHUNK carries no frames",
         ),
         (
-            [_hello(), _msg("CHUNK", payload={"frames": ["1234567"]})],
-            "protocol: bad frame row: '1234567' is not an array of numbers",
+            [_hello(), _msg("CHUNK", payload={"dim": 7, "f64": "1234567"})],
+            "protocol: CHUNK f64 is not base64",
         ),
         (
-            [_hello(), _msg("CHUNK", payload={"frames": [[10**400] * 7]})],
-            "protocol: bad frame row: int too large to convert to float",
+            [_hello(), _msg("CHUNK", payload=_block(_DA_ROWS, dim=7.0))],
+            "protocol: CHUNK needs a string f64 and an int dim above 0",
         ),
         (
-            [_hello(), _msg("CHUNK", payload={"frames": _RAGGED_ROWS})],
-            "protocol: all frames in a session must share a feature dimension",
+            [_hello(), _msg("CHUNK", payload=_block(_RAGGED_ROWS))],
+            "protocol: CHUNK f64 holds 1560 bytes, not rows of 7 float64s",
         ),
         (
             [
                 _hello(),
-                _msg("CHUNK", payload={"frames": _DA_ROWS}),
-                _msg("CHUNK", payload={"frames": _WIDER_ROWS}),
+                _msg("CHUNK", payload=_block(_DA_ROWS)),
+                _msg("CHUNK", payload=_block(_WIDER_ROWS)),
             ],
             "protocol: all frames in a session must share a feature dimension",
         ),
@@ -352,7 +406,7 @@ def test_settings_of_the_wrong_type_get_a_config_error(
     model = make_model()
     lines = [
         hello,
-        _msg("CHUNK", payload={"frames": _chunk_rows(model, ["da"])}),
+        _msg("CHUNK", payload=_block(_chunk_rows(model, ["da"]))),
         _msg("EOS_SRC"),
     ]
     replies = _exchange(server.address, lines)
@@ -407,7 +461,7 @@ def test_a_client_that_stops_sending_before_eos_src_gets_an_error(
     if words:
         # 560 ms of source in one chunk: at k=1 both words fall due
         rows = _chunk_rows(model, words)
-        lines.append(_msg("CHUNK", payload={"frames": rows}))
+        lines.append(_msg("CHUNK", payload=_block(rows)))
     replies = _exchange(server.address, lines)
     assert [m.kind for m in replies] == ["WORD"] * len(words) + ["ERROR"]
     assert [m.payload["word"] for m in replies[:-1]] == (
@@ -432,7 +486,7 @@ def test_model_failure_is_reported_on_the_wire(server):
     # the default server model expects 7 feature channels; send 3
     lines = [
         _hello(),
-        _msg("CHUNK", payload={"frames": [[0.0, 1.0, 0.0]] * 28}),
+        _msg("CHUNK", payload=_block([[0.0, 1.0, 0.0]] * 28)),
     ]
     replies = _exchange(server.address, lines)
     assert replies[-1].kind == "ERROR"
@@ -440,34 +494,124 @@ def test_model_failure_is_reported_on_the_wire(server):
 
 
 @pytest.mark.parametrize(
-    "chunks", [[_RAGGED_ROWS], [_DA_ROWS, _WIDER_ROWS]],
+    "chunks, complaint",
+    [
+        # a block cannot be ragged: a torn last row leaves a partial row
+        (
+            [_RAGGED_ROWS],
+            "protocol: CHUNK f64 holds 1560 bytes, not rows of 7 float64s",
+        ),
+        (
+            [_DA_ROWS, _WIDER_ROWS],
+            "protocol: all frames in a session must share a feature dimension",
+        ),
+    ],
     ids=["ragged-chunk", "wider-second-chunk"],
 )
-def test_a_change_of_width_is_a_protocol_error(server, caplog, chunks):
+def test_a_change_of_width_is_a_protocol_error(
+    server, caplog, chunks, complaint
+):
     lines = [_hello()]
-    lines += [_msg("CHUNK", payload={"frames": rows}) for rows in chunks]
+    lines += [_msg("CHUNK", payload=_block(rows)) for rows in chunks]
     with caplog.at_level(logging.WARNING, logger="simulharness.service"):
         replies = _exchange(server.address, lines)
-    assert replies[-1].payload["message"] == (
-        "protocol: all frames in a session must share a feature dimension"
-    )
+    assert replies[-1].payload["message"] == complaint
     # a client's fault is logged without a model traceback
     assert not any(record.exc_info for record in caplog.records)
 
 
 def test_a_non_numeric_chunk_row_is_a_protocol_error(server, caplog):
-    model = make_model()
-    rows = _chunk_rows(model, ["da"])
-    rows[3] = rows[3][:-1] + ["loud"]
-    lines = [_hello(), _msg("CHUNK", payload={"frames": rows})]
+    # bytes hold no words: the counterpart of a word among the numbers is a
+    # character outside base64 where the fourth row's values begin
+    text = _block(_chunk_rows(make_model(), ["da"]))["f64"]
+    start = 3 * 7 * 8 * 4 // 3
+    text = text[:start] + "'loud'" + text[start + 6:]
+    lines = [_hello(), _msg("CHUNK", payload={"dim": 7, "f64": text})]
     with caplog.at_level(logging.WARNING, logger="simulharness.service"):
         replies = _exchange(server.address, lines)
     assert [m.kind for m in replies] == ["ERROR"]
-    message = replies[0].payload["message"]
-    assert message.startswith("protocol: bad frame row")
-    assert "'loud'" in message
+    assert replies[0].payload["message"].startswith(
+        "protocol: CHUNK f64 is not base64"
+    )
     # a client's fault is logged without a model traceback
     assert not any(record.exc_info for record in caplog.records)
+
+
+_DA_BLOCK = _block(_DA_ROWS)
+_NO_FRAMES = "CHUNK carries no frames"
+_BAD_TYPE = "CHUNK needs a string f64 and an int dim above 0"
+_NOT_BASE64 = "CHUNK f64 is not base64"
+
+
+@pytest.mark.parametrize(
+    "payload, complaint",
+    [
+        (None, _NO_FRAMES),
+        ([_DA_BLOCK], _NO_FRAMES),
+        ({"dim": 7}, _NO_FRAMES),
+        ({"dim": 7, "f64": ""}, _NO_FRAMES),
+        ({"dim": 7, "f64": 12345678}, _BAD_TYPE),
+        ({"dim": 7, "f64": [_DA_BLOCK["f64"]]}, _BAD_TYPE),
+        ({"f64": _DA_BLOCK["f64"]}, _BAD_TYPE),
+        ({**_DA_BLOCK, "dim": True}, _BAD_TYPE),
+        ({**_DA_BLOCK, "dim": 1.5}, _BAD_TYPE),
+        ({**_DA_BLOCK, "dim": "7"}, _BAD_TYPE),
+        ({**_DA_BLOCK, "dim": 0}, _BAD_TYPE),
+        ({**_DA_BLOCK, "dim": -7}, _BAD_TYPE),
+        ({**_DA_BLOCK, "f64": _DA_BLOCK["f64"][:-1]}, _NOT_BASE64),
+        ({**_DA_BLOCK, "f64": "!" + _DA_BLOCK["f64"][1:]}, _NOT_BASE64),
+        ({**_DA_BLOCK, "f64": _DA_BLOCK["f64"] + "\n"}, _NOT_BASE64),
+        ({**_DA_BLOCK, "f64": "é" + _DA_BLOCK["f64"][1:]}, _NOT_BASE64),
+        (
+            {**_DA_BLOCK, "dim": 5},
+            "CHUNK f64 holds 1568 bytes, not rows of 5 float64s",
+        ),
+        (
+            {**_DA_BLOCK, "dim": 10**30},
+            f"CHUNK f64 holds 1568 bytes, not rows of {10**30} float64s",
+        ),
+        (_block([[1.0]], dim=7), "CHUNK f64 holds 8 bytes, not rows of 7"),
+    ],
+    ids=["null", "list", "no-f64", "empty-f64", "f64-number", "f64-list",
+         "no-dim", "dim-true", "dim-float", "dim-string", "dim-zero",
+         "dim-negative", "torn-padding", "bad-character", "newline",
+         "non-ascii", "dim-not-a-divisor", "dim-past-the-block",
+         "short-of-a-row"],
+)
+def test_a_malformed_chunk_gets_one_protocol_error(
+    server, caplog, payload, complaint
+):
+    lines = [_hello(), _msg("CHUNK", payload=payload), _msg("EOS_SRC")]
+    with caplog.at_level(logging.WARNING, logger="simulharness.service"):
+        replies = _exchange(server.address, lines)
+    assert [m.kind for m in replies] == ["ERROR"]
+    assert replies[0].payload["message"].startswith(f"protocol: {complaint}")
+    # a client's fault is logged without a traceback
+    assert not any(record.exc_info for record in caplog.records)
+
+
+@pytest.mark.parametrize(
+    "lines", [[], [_hello()]], ids=["silent", "after-hello"]
+)
+def test_an_idle_client_gets_one_error_and_frees_its_thread(
+    server, monkeypatch, lines
+):
+    monkeypatch.setattr(_SessionHandler, "timeout", 0.3)
+    with socket.create_connection(server.address, timeout=10) as sock:
+        wire = sock.makefile("rwb")
+        for record in lines:
+            wire.write((json.dumps(record) + "\n").encode("utf-8"))
+        wire.flush()
+        # stall without closing: the server ends the session
+        replies = [WireMessage.parse(raw) for raw in wire]
+    assert [m.kind for m in replies] == ["ERROR"]
+    assert replies[0].payload == {"message": "protocol: idle for 0.3 s"}
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel"])
+    hyp, _ = stream_utterance(
+        server.address, utt, PolicyConfig(k=1), timeout_s=10
+    )
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
 
 
 def test_any_model_exception_ends_the_session_with_an_error():
@@ -475,7 +619,7 @@ def test_any_model_exception_ends_the_session_with_an_error():
     with StreamTranslationServer(model) as handle:
         lines = [
             _hello(k=1),
-            _msg("CHUNK", payload={"frames": _chunk_rows(model, ["haus"])}),
+            _msg("CHUNK", payload=_block(_chunk_rows(model, ["haus"]))),
         ]
         replies = _exchange(handle.address, lines)
         assert replies[-1].kind == "ERROR"

@@ -45,6 +45,7 @@ from .harness import (
     UtteranceResult,
     evaluate_corpus,
     read_curve_csv,
+    score_corpus,
     sweep,
     write_curve_csv,
     write_eval_outputs,

@@ -29,8 +29,7 @@ from .harness import (
     CorpusResult,
     SweepSpec,
     evaluate_corpus,
-    evaluate_utterance,
-    score_results,
+    score_corpus,
     sweep as sweep_grid,
     write_eval_outputs,
 )
@@ -178,6 +177,15 @@ def _exit_on_failures(result: CorpusResult) -> None:
         sys.exit(1)
 
 
+def _report_run(result: CorpusResult, out_dir: Path) -> None:
+    """Write a run's metrics and logs, print its summary, and exit 1 if
+    any utterance failed."""
+    write_eval_outputs(out_dir, result)
+    click.echo(_summary_line(result))
+    click.echo(f"wrote {out_dir / 'metrics.json'}")
+    _exit_on_failures(result)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -203,11 +211,7 @@ def eval_command(
     utterances = _load_utterances(manifest_path)
     model = _load_model(model_path)
     config = _build_config(**policy_flags)
-    result = evaluate_corpus(utterances, model, config)
-    write_eval_outputs(out_dir, result)
-    click.echo(_summary_line(result))
-    click.echo(f"wrote {out_dir / 'metrics.json'}")
-    _exit_on_failures(result)
+    _report_run(evaluate_corpus(utterances, model, config), out_dir)
 
 
 @main.command("sweep")
@@ -288,16 +292,10 @@ def offline_command(
     source is read before any word is written -- the quality ceiling."""
     utterances = _load_utterances(manifest_path)
     model = _load_model(model_path)
-
-    def translate(utterance: Utterance):
-        hypothesis = offline_greedy_translate(
-            model, utterance, max_target_words=max_target_words
-        )
-        return hypothesis, ()
-
-    result = score_results(
-        utterances, [evaluate_utterance(u, translate) for u in utterances]
-    )
+    result = score_corpus(utterances, lambda u: (
+        offline_greedy_translate(model, u, max_target_words=max_target_words),
+        (),
+    ))
     if out_path is not None:
         out_path.parent.mkdir(parents=True, exist_ok=True)
         with out_path.open("w", encoding="utf-8") as handle:
@@ -370,10 +368,7 @@ def remote_eval_command(
     result = client_evaluate(
         (host, port), utterances, config, pacing=pacing, timeout_s=timeout_s
     )
-    write_eval_outputs(out_dir, result)
-    click.echo(_summary_line(result))
-    click.echo(f"wrote {out_dir / 'metrics.json'}")
-    _exit_on_failures(result)
+    _report_run(result, out_dir)
 
 
 _DEMO_LEXICON = {

@@ -391,13 +391,14 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
     holding one), ``frame_ms``, ``reference``, and optionally ``transcript``.
     An id must be a file name: not ``.`` or ``..``, with no ``/``, ``\\``,
     NUL or lone surrogate, and at most 249 bytes of UTF-8.  Blank lines are
-    skipped.  Any malformed line raises
-    :class:`ManifestError` naming the line number.
+    skipped.  Lines end at ``\\n``; each, and each frames file, is decoded
+    as :func:`json.loads` decodes bytes.  Any malformed line, bytes that do
+    not decode included, raises :class:`ManifestError` naming the line number.
     """
     path = Path(path)
     utterances: list[Utterance] = []
     seen: set[str] = set()
-    with path.open("r", encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -439,9 +440,7 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
             if isinstance(raw_frames, str):
                 frames_path = path.parent / raw_frames
                 try:
-                    raw_frames = decode_json(
-                        frames_path.read_text(encoding="utf-8")
-                    )
+                    raw_frames = decode_json(frames_path.read_bytes())
                 except FileNotFoundError as exc:
                     raise ManifestError(
                         f"frames file {record['frames']!r} not found "

@@ -1,8 +1,7 @@
 """Scoring, corpus evaluation, wait-k sweeps and quality/latency curves.
 
-Local, remote and offline runs are all scored by the same two functions:
-:func:`evaluate_utterance` at the utterance boundary and
-:func:`score_results` over the corpus.
+Local, remote and offline runs are all scored by one loop,
+:func:`score_corpus`, which takes the run's translator.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from statistics import fmean
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,54 +48,45 @@ class CorpusResult:
         return tuple(r.utt_id for r in self.results if r.error is not None)
 
 
-def evaluate_utterance(
-    utterance: Utterance,
+def score_corpus(
+    utterances: Iterable[Utterance],
     translate: Callable[[Utterance], tuple[Hypothesis, Sequence[Event]]],
-) -> UtteranceResult:
-    """Translate one utterance and record its outcome for scoring.
-
-    This is the utterance boundary of every run -- local, remote or offline:
-    whatever exception ``translate`` raises is recorded as this utterance's
-    error (with a :class:`SimulRunError`'s partial log), and the rest of the
-    corpus still runs.
-    """
-    if not utterance.reference:
-        return UtteranceResult(
-            utterance.id, None, (), None,
-            error="utterance has an empty reference",
-        )
-    try:
-        hypothesis, events = translate(utterance)
-        delays = DelaySequence(
-            ideal_ms=hypothesis.ideal_delays_ms,
-            wall_ms=hypothesis.wall_delays_ms,
-            source_ms=float(utterance.duration_ms),
-            hyp_len=len(hypothesis.words),
-            ref_len=len(utterance.reference),
-        )
-    except Exception as exc:
-        logger.error(
-            "utterance %s failed: %s", utterance.id, exc, exc_info=True
-        )
-        partial = exc.events if isinstance(exc, SimulRunError) else ()
-        return UtteranceResult(
-            utterance.id, None, partial, None, error=str(exc)
-        )
-    return UtteranceResult(utterance.id, hypothesis, tuple(events), delays)
-
-
-def score_results(
-    utterances: Sequence[Utterance], results: Sequence[UtteranceResult]
 ) -> CorpusResult:
-    """Aggregate corpus metrics over the results that carry no error.
+    """Translate every utterance and aggregate corpus metrics.
 
-    ``results[i]`` is the outcome of ``utterances[i]``; failed utterances
-    stay in the returned results but count in no metric.
+    This is the scoring loop of every run -- local, remote or offline.  An
+    utterance with an empty reference is an error, and whatever exception
+    ``translate`` raises is recorded as its utterance's error (with a
+    :class:`SimulRunError`'s partial log); the rest of the corpus still
+    runs.  Failed utterances stay in the results but count in no metric.
     """
-    scored = [
-        (r, u) for r, u in zip(results, utterances, strict=True)
-        if r.error is None
-    ]
+    utterances = tuple(utterances)
+    results: list[UtteranceResult] = []
+    for utterance in utterances:
+        hypothesis, events, delays, error = None, (), None, None
+        if not utterance.reference:
+            error = "utterance has an empty reference"
+        else:
+            try:
+                hypothesis, events = translate(utterance)
+                delays = DelaySequence(
+                    ideal_ms=hypothesis.ideal_delays_ms,
+                    wall_ms=hypothesis.wall_delays_ms,
+                    source_ms=float(utterance.duration_ms),
+                    hyp_len=len(hypothesis.words),
+                    ref_len=len(utterance.reference),
+                )
+            except Exception as exc:
+                logger.error(
+                    "utterance %s failed: %s", utterance.id, exc,
+                    exc_info=True,
+                )
+                hypothesis, error = None, str(exc)
+                events = exc.events if isinstance(exc, SimulRunError) else ()
+        results.append(UtteranceResult(
+            utterance.id, hypothesis, tuple(events), delays, error
+        ))
+    scored = [(r, u) for r, u in zip(results, utterances) if r.error is None]
     report = aggregate_metrics(
         [list(r.hypothesis.words) for r, _ in scored],
         [list(u.reference) for _, u in scored],
@@ -117,12 +107,9 @@ def evaluate_corpus(
     utterance is recorded (with its partial log) and the rest of the corpus
     still runs.
     """
-    utterances = list(utterances)
-    results = [
-        evaluate_utterance(u, lambda utt: run_simultaneous(model, utt, config))
-        for u in utterances
-    ]
-    return score_results(utterances, results)
+    return score_corpus(
+        utterances, lambda u: run_simultaneous(model, u, config)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,8 @@ before EOS_SRC, or sends nothing for :attr:`_SessionHandler.timeout`
 seconds, gets one too; a connection that closes without a word gets none.
 
 Every message is one JSON object per line with fields ``kind``, ``session``,
-``payload``, ``t_client_ms`` and ``t_server_ms`` (each side stamps its own
-clock, milliseconds since its start of session; the other field is null).
+``payload``, ``t_client_ms`` and ``t_server_ms``; only a WORD's
+``t_server_ms`` is set, and every other stamp is null.
 A CHUNK payload is ``{"dim": D, "f64": S}``, ``S`` being the base64 of its
 frames' values as little-endian float64, ``D`` to a row: bit for bit.
 
@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
 from .core import _as_frame, decode_json, segment_stream
-from .harness import CorpusResult, evaluate_utterance, score_results
+from .harness import CorpusResult, score_corpus
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine, SimulRunError
 
@@ -154,7 +154,6 @@ class _SessionHandler(socketserver.StreamRequestHandler):
     timeout = 60
 
     def handle(self) -> None:
-        self._started = time.perf_counter()
         self._session: str | None = None
         try:
             try:
@@ -180,16 +179,20 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         if hello.kind != KIND_HELLO:
             raise _SessionError("protocol: expected HELLO")
         self._session = hello.session
-        payload = hello.payload or {}
+        # only null or an absent field means the defaults
+        payload = {} if hello.payload is None else hello.payload
         try:
             if not isinstance(payload, dict):
                 raise ValueError("HELLO payload must be an object")
             unknown = set(payload) - _HELLO_FIELDS
             if unknown:
                 raise ValueError(f"unknown HELLO fields {sorted(unknown)}")
+            settings = payload.get("config")
+            if not isinstance(settings, (dict, type(None))):
+                raise ValueError("HELLO config must be an object")
             engine = SimulEngine(
                 self.server.model,
-                PolicyConfig.from_dict(payload.get("config") or {}),
+                PolicyConfig.from_dict(settings or {}),
                 frame_ms=payload.get("frame_ms", 10),
             )
         except Exception as exc:
@@ -242,12 +245,10 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         raise _SessionError("protocol: connection closed before EOS_SRC")
 
     def _send(
-        self, kind: str, payload: object, stamp_ms: float | None = None
+        self, kind: str, payload: object, wall_ms: float | None = None
     ) -> None:
-        if stamp_ms is None:  # a WORD is stamped with the engine's clock
-            stamp_ms = (time.perf_counter() - self._started) * 1000.0
         message = WireMessage(kind, self._session or "?", payload,
-                              t_server_ms=stamp_ms)
+                              t_server_ms=wall_ms)
         self.wfile.write(message.to_line())
         self.wfile.flush()
 
@@ -347,8 +348,7 @@ def stream_utterance(
         def transmit(kind: str, payload: object) -> None:
             # unbuffered: a send the server cuts off leaves nothing behind
             # for a later flush into the dead socket
-            message = WireMessage(kind, session, payload, now_ms())
-            sock.sendall(message.to_line())
+            sock.sendall(WireMessage(kind, session, payload).to_line())
 
         def read_loop() -> None:
             try:
@@ -438,7 +438,6 @@ def client_evaluate(
     """
     _check_pacing(pacing)
     check_timeout_s(timeout_s)
-    utterances = list(utterances)
 
     def translate(utterance: Utterance) -> tuple[Hypothesis, tuple]:
         hypothesis, _arrivals = stream_utterance(
@@ -446,6 +445,4 @@ def client_evaluate(
         )
         return hypothesis, ()
 
-    return score_results(
-        utterances, [evaluate_utterance(u, translate) for u in utterances]
-    )
+    return score_corpus(utterances, translate)

@@ -98,6 +98,35 @@ def test_eval_rejects_a_broken_manifest(tmp_path, demo, line):
     assert "cannot load manifest" in _all_output(result)
 
 
+@pytest.mark.parametrize(
+    "line, frames_file",
+    [(b'{"id": "caf\xe9"}', None),
+     (b'{"id": "u1", "frames": "f.json", "frame_ms": 10, "reference": ["a"]}',
+      b"[[0.0, 1.0\xe9]]")],
+    ids=["manifest-line", "frames-file"],
+)
+def test_eval_refuses_bytes_that_are_not_utf8_without_a_traceback(
+    tmp_path, demo, line, frames_file
+):
+    manifest = tmp_path / "latin1.jsonl"
+    manifest.write_bytes(line + b"\n")
+    if frames_file is not None:
+        (tmp_path / "f.json").write_bytes(frames_file)
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "simulharness.cli", "eval",
+            "--manifest", str(manifest),
+            "--model-config", str(demo / "model.json"),
+            "--out", str(tmp_path / "out"),
+        ],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "'utf-8' codec can't decode byte 0xe9" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_eval_rejects_bad_policy_flags(demo, tmp_path):
     result = _run(
         "eval", "--manifest", demo / "manifest.jsonl",

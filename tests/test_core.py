@@ -305,13 +305,16 @@ def test_segment_stream_validates_step():
 # ---------------------------------------------------------------------------
 
 
+def _bytes(line):
+    """A manifest line as bytes: a dict as JSON, a string as UTF-8."""
+    if isinstance(line, dict):
+        line = json.dumps(line)
+    return line if isinstance(line, bytes) else line.encode("utf-8")
+
+
 def _write_manifest(tmp_path, lines):
     path = tmp_path / "manifest.jsonl"
-    path.write_text(
-        "\n".join(json.dumps(line) if isinstance(line, dict) else line
-                  for line in lines) + "\n",
-        encoding="utf-8",
-    )
+    path.write_bytes(b"".join(_bytes(line) + b"\n" for line in lines))
     return path
 
 
@@ -345,6 +348,15 @@ def test_load_manifest_frames_from_side_file(tmp_path):
     path = _write_manifest(tmp_path, [_record(frames="frames_u1.json")])
     manifest = load_manifest(path)
     assert manifest[0].frames[0].features == (0.0, 1.0)
+
+
+def test_load_manifest_decodes_bytes_as_json_loads_does(tmp_path):
+    # a UTF-8 BOM opens the manifest; the frames file is UTF-16
+    (tmp_path / "f.json").write_bytes("[[0.0, 1.0]]".encode("utf-16"))
+    path = _write_manifest(
+        tmp_path, [b"\xef\xbb\xbf" + _bytes(_record(frames="f.json"))]
+    )
+    assert load_manifest(path)[0].frames[0].features == (0.0, 1.0)
 
 
 def test_load_manifest_reports_deep_nesting_as_a_manifest_error(tmp_path):
@@ -437,13 +449,18 @@ def test_load_manifest_rejects_a_bool_frame_ms(tmp_path):
         (_record("a\ud800"), None,
          r"id 'a\\ud800' is not a file name at line 2"),
         (_record("é" * 125), None, "id 'é+' is not a file name at line 2"),
+        (b'{"id": "caf\xe9"}', None,
+         "malformed JSON at line 2: 'utf-8' codec can't decode byte 0xe9"),
+        (_record("u2", frames="f.json"), b"[[0.0, 1.0]] \xe9",
+         "malformed frames file 'f.json' at line 2: 'utf-8' codec can't "
+         "decode byte 0xe9"),
     ],
 )
 def test_load_manifest_names_the_line_of_a_bad_record(
     tmp_path, record, side_file, message
 ):
     if side_file is not None:
-        (tmp_path / "f.json").write_text(side_file, encoding="utf-8")
+        (tmp_path / "f.json").write_bytes(_bytes(side_file))
     path = _write_manifest(tmp_path, [_record(), record])
     with pytest.raises(ManifestError, match=message):
         load_manifest(path)

@@ -34,13 +34,13 @@ from simulharness import (
     read_curve_csv,
     read_event_log,
     run_simultaneous,
+    score_corpus,
     segment_stream,
     sweep,
     write_curve_csv,
     write_eval_outputs,
 )
 from simulharness import harness, policy
-from simulharness.harness import evaluate_utterance, score_results
 
 
 def _corpus(model, n_utts=3, n_words=6):
@@ -128,24 +128,23 @@ def test_one_scoring_path_serves_any_translator():
     a = aligned_utterance(model, ["da", "esel", "geht", "hin"], utt_id="a")
     b = aligned_utterance(model, ["hin", "ja"], utt_id="b")
 
-    def offline(utterance):
+    def offline_or_broken(utterance):
+        if utterance is b:
+            raise KeyError("no such table")
         return offline_greedy_translate(model, utterance), ()
 
-    def broken(utterance):
-        raise KeyError("no such table")
-
-    results = [evaluate_utterance(a, offline), evaluate_utterance(b, broken)]
-    assert results[1].error == "'no such table'"
-    assert results[1].events == () and results[1].delays is None
-    corpus = score_results([a, b], results)
+    # any iterable of utterances: a generator is read once
+    corpus = score_corpus((u for u in (a, b)), offline_or_broken)
+    assert [r.utt_id for r in corpus.results] == ["a", "b"]
+    failed = corpus.results[1]
+    assert failed.error == "'no such table'"
+    assert failed.events == () and failed.delays is None
     assert corpus.failures == ("b",)
     assert corpus.report.n_utts == 1
     assert corpus.report.bleu == pytest.approx(100.0, abs=1e-9)
     # offline, every word waits for the whole source: AL = LAAL = duration
     assert corpus.report.al_ms == pytest.approx(a.duration_ms)
     assert corpus.report.laal_ms == pytest.approx(a.duration_ms)
-    with pytest.raises(ValueError):
-        score_results([a], results)
 
 
 def test_evaluate_corpus_rejects_empty_references_per_utterance():

@@ -14,7 +14,7 @@ from itertools import chain
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import simulharness
 
@@ -39,7 +39,9 @@ from simulharness import (
     segment_stream,
     stream_utterance,
 )
-from simulharness.service import _chunk_frames, _chunk_payload, _SessionHandler
+from simulharness.service import (
+    VALID_KINDS, _chunk_frames, _chunk_payload, _SessionHandler,
+)
 
 
 @pytest.fixture()
@@ -280,6 +282,38 @@ def test_fast_remote_wall_delays_are_the_server_engines(monkeypatch):
     assert average_lagging(delays, True) > average_lagging(delays)
 
 
+@pytest.mark.parametrize("pacing", ["fast", "realtime"])
+def test_only_a_word_carries_a_stamp(monkeypatch, pacing):
+    """A WORD's ``t_server_ms`` is the engine's wall delay; no other line,
+    from the client or the server, carries a stamp."""
+    sent = []
+    to_line = WireMessage.to_line
+
+    def recording(message):
+        sent.append(message)
+        return to_line(message)
+
+    monkeypatch.setattr(WireMessage, "to_line", recording)
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel"])
+    with StreamTranslationServer(model) as handle:
+        remote, _ = stream_utterance(
+            handle.address, utt, PolicyConfig(k=1), pacing=pacing,
+            timeout_s=10,
+        )
+    kinds = [m.kind for m in sent]
+    assert sorted(set(kinds)) == ["CHUNK", "EOS_SRC", "EOS_TGT", "HELLO",
+                                  "WORD"]
+    assert all(m.t_client_ms is None for m in sent)
+    assert all(
+        (m.kind == "WORD") == (m.t_server_ms is not None) for m in sent
+    )
+    stamps = tuple(m.t_server_ms for m in sent if m.kind == "WORD")
+    assert len(stamps) == len(remote.words) == 2
+    if pacing == "fast":
+        assert stamps == remote.wall_delays_ms
+
+
 def test_unknown_pacing_is_rejected(server):
     model = make_model()
     utt = aligned_utterance(model, ["da"])
@@ -412,6 +446,44 @@ def test_settings_of_the_wrong_type_get_a_config_error(
     replies = _exchange(server.address, lines)
     assert [m.kind for m in replies] == ["ERROR"]
     assert replies[0].payload["message"].startswith(complaint)
+
+
+_FALSY = [[], 0, "", False]
+
+
+@pytest.mark.parametrize(
+    "payload, complaint",
+    [(value, "config: HELLO payload must be an object") for value in _FALSY]
+    + [({"config": value}, "config: HELLO config must be an object")
+       for value in _FALSY],
+    ids=[f"{field}-{value!r}" for field in ("payload", "config")
+         for value in _FALSY],
+)
+def test_a_falsy_hello_payload_or_config_is_no_default(
+    server, payload, complaint
+):
+    lines = [
+        _msg("HELLO", payload=payload),
+        _msg("CHUNK", payload=_block(_DA_ROWS)),
+        _msg("EOS_SRC"),
+    ]
+    replies = _exchange(server.address, lines)
+    assert [m.kind for m in replies] == ["ERROR"]
+    assert replies[0].payload == {"message": complaint}
+
+
+@pytest.mark.parametrize("payload", [None, {}, {"config": None}])
+def test_a_null_or_absent_hello_setting_means_the_default(server, payload):
+    lines = [
+        _msg("HELLO", payload=payload),
+        _msg("CHUNK", payload=_block(_DA_ROWS)),
+        _msg("EOS_SRC"),
+    ]
+    replies = _exchange(server.address, lines)
+    assert [m.kind for m in replies] == ["WORD", "EOS_TGT"]
+    assert [replies[0].payload["word"]] == make_model().translate_words(
+        ["da"]
+    )
 
 
 def test_an_overlong_integer_is_a_malformed_message():
@@ -664,6 +736,84 @@ def test_concurrent_sessions_stay_isolated(server):
     assert outcomes == {
         name: model.translate_words(words) for name, words in cases.items()
     }
+
+
+# ---------------------------------------------------------------------------
+# Fuzzing
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def fuzz_server():
+    with StreamTranslationServer(make_model()) as handle:
+        yield handle
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+#: a CHUNK payload: any width, and the base64 of any bytes -- often whole
+#: rows of the server model's 7 channels, any float64 bit pattern -- or any
+#: text or JSON value
+_CHUNK_PAYLOAD = st.fixed_dictionaries({
+    "dim": st.integers(-1, 9) | st.just(7) | _JSON,
+    "f64": st.one_of(
+        st.binary(max_size=7 * 8 * 3),
+        st.lists(st.binary(min_size=7 * 8, max_size=7 * 8), min_size=1,
+                 max_size=3).map(b"".join),
+    ).map(lambda data: base64.b64encode(data).decode())
+    | st.text(max_size=12) | _JSON,
+})
+_FUZZED_LINE = st.one_of(
+    st.text().map(lambda text: text.replace("\n", " ").encode("utf-8")),
+    st.binary().map(lambda data: data.replace(b"\n", b" ")),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(sorted(VALID_KINDS)) | st.text(max_size=8),
+        "session": st.just("s1") | st.text(max_size=4) | _JSON,
+        "payload": _CHUNK_PAYLOAD | _JSON,
+    }),
+    st.fixed_dictionaries({
+        "kind": st.just("CHUNK"), "session": st.just("s1"),
+        "payload": _CHUNK_PAYLOAD,
+    }),
+).map(
+    lambda line: line if isinstance(line, bytes)
+    else json.dumps(line).encode("utf-8")
+)
+
+
+@settings(max_examples=60)
+@given(after_hello=st.booleans(), line=_FUZZED_LINE)
+def test_a_fuzzed_line_ends_its_session_with_one_reply(
+    fuzz_server, after_hello, line
+):
+    """Whatever line a client sends, first or after a valid HELLO, its
+    session ends with WORDs and then exactly one EOS_TGT or ERROR, and the
+    server still serves the next client as a local run."""
+    prefix = (json.dumps(_hello()) + "\n").encode() if after_hello else b""
+    with socket.create_connection(fuzz_server.address, timeout=10) as sock:
+        wire = sock.makefile("rwb")
+        wire.write(prefix + line + b"\n")
+        wire.flush()
+        sock.shutdown(socket.SHUT_WR)
+        replies = [WireMessage.parse(raw) for raw in wire]
+    kinds = [m.kind for m in replies]
+    assert kinds[:-1] == ["WORD"] * (len(kinds) - 1)
+    assert kinds[-1:] in (["EOS_TGT"], ["ERROR"])
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel", "geht"])
+    config = PolicyConfig(k=2, detection="adaptive")
+    remote, _ = stream_utterance(
+        fuzz_server.address, utt, config, timeout_s=10
+    )
+    local, _ = run_simultaneous(model, utt, config)
+    assert (remote.words, remote.tokens, remote.ideal_delays_ms) == (
+        local.words, local.tokens, local.ideal_delays_ms
+    )
 
 
 # ---------------------------------------------------------------------------

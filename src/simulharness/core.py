@@ -148,13 +148,9 @@ class Hypothesis:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "words", tuple(str(w) for w in self.words))
-        object.__setattr__(
-            self, "ideal_delays_ms", tuple(int(d) for d in self.ideal_delays_ms)
-        )
-        object.__setattr__(
-            self, "wall_delays_ms", tuple(float(d) for d in self.wall_delays_ms)
-        )
+        for name, kind in (("words", str), ("ideal_delays_ms", int),
+                           ("wall_delays_ms", float)):
+            object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
         if not (
             len(self.words)
             == len(self.ideal_delays_ms)
@@ -187,6 +183,43 @@ def default_max_target_words(utterance: Utterance | None = None) -> int:
 # ---------------------------------------------------------------------------
 
 
+class WordBuilder:
+    """Groups tokens into words as they arrive, under one convention.
+
+    :meth:`push` takes the next token's surface and returns the word it
+    completes: under BPE_SUFFIX the token's own word unless it ends in
+    ``@@``, under SP_PREFIX the word before a ``▁`` token, whose last token
+    is ``lag`` (1, else 0) tokens back.  :meth:`flush` closes the open word
+    at the end.  Both return ``""`` when no word, or only an empty one, ends.
+    """
+
+    __slots__ = ("_bpe", "pieces", "lag")
+
+    def __init__(self, convention: Convention) -> None:
+        self._bpe = convention is Convention.BPE_SUFFIX
+        self.lag = 0 if self._bpe else 1
+        self.pieces: list[str] = []  # the open word's, markers stripped
+
+    def push(self, surface: str) -> str:
+        if self._bpe:
+            if surface.endswith(BPE_CONTINUATION):
+                self.pieces.append(surface[: -len(BPE_CONTINUATION)])
+                return ""
+            self.pieces.append(surface)
+            return self.flush()
+        if surface.startswith(SP_WORD_START):
+            word = self.flush()
+            self.pieces.append(surface[len(SP_WORD_START) :])
+            return word
+        self.pieces.append(surface)
+        return ""
+
+    def flush(self) -> str:
+        word = "".join(self.pieces)
+        self.pieces.clear()
+        return word
+
+
 def word_spans(
     tokens: Sequence[SubwordToken],
     convention: Convention | None = None,
@@ -205,47 +238,17 @@ def word_spans(
         if not tokens:
             raise ValueError("convention is required for an empty sequence")
         convention = tokens[0].convention
-    for tok in tokens:
+    spans: list[tuple[str, int]] = []
+    builder = WordBuilder(convention)
+    # counting from -lag, each token's number is the completed word's end
+    for end, tok in enumerate(tokens, -builder.lag):
         if tok.convention is not convention:
             raise ValueError("mixed subword conventions in one sequence")
-
-    spans: list[tuple[str, int]] = []
-    pieces: list[str] = []  # the open word's tokens, markers stripped
-
-    def close(end: int) -> None:
-        word = "".join(pieces)
-        if word:
+        if word := builder.push(tok.surface):
             spans.append((word, end))
-        pieces.clear()
-
-    # A word ends after a BPE token without the suffix, or just before an
-    # SP token with the prefix (a leading continuation opens one implicitly).
-    bpe = convention is Convention.BPE_SUFFIX
-    for i, tok in enumerate(tokens):
-        surface = tok.surface
-        if bpe:
-            if surface.endswith(BPE_CONTINUATION):
-                pieces.append(surface[: -len(BPE_CONTINUATION)])
-            else:
-                pieces.append(surface)
-                close(i)
-        elif surface.startswith(SP_WORD_START):
-            close(i - 1)
-            pieces.append(surface[len(SP_WORD_START) :])
-        else:
-            pieces.append(surface)
-    if eos:
-        close(len(tokens) - 1)
-    return spans, bool(pieces)
-
-
-def can_complete_word(token: SubwordToken) -> bool:
-    """Whether appending ``token`` can complete a word: under BPE_SUFFIX a
-    token without the ``@@`` suffix, under SP_PREFIX one with the ``▁``
-    prefix.  Any other token leaves the complete words as they were."""
-    if token.convention is Convention.BPE_SUFFIX:
-        return not token.surface.endswith(BPE_CONTINUATION)
-    return token.surface.startswith(SP_WORD_START)
+    if eos and (word := builder.flush()):
+        spans.append((word, len(tokens) - 1))
+    return spans, bool(builder.pieces)
 
 
 def extend_word_spans(

@@ -15,6 +15,8 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
+from itertools import chain, repeat
+from operator import gt, lt
 from statistics import fmean
 from typing import Sequence
 
@@ -40,27 +42,23 @@ class DelaySequence:
     ref_len: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "ideal_ms", tuple(float(d) for d in self.ideal_ms)
-        )
-        object.__setattr__(
-            self, "wall_ms", tuple(float(d) for d in self.wall_ms)
-        )
-        if len(self.ideal_ms) != len(self.wall_ms):
+        for name in ("ideal_ms", "wall_ms"):
+            object.__setattr__(self, name, tuple(map(float, getattr(self, name))))
+        ideal = self.ideal_ms
+        if len(ideal) != len(self.wall_ms):
             raise ValueError("ideal_ms and wall_ms must have equal length")
-        if self.hyp_len != len(self.ideal_ms):
+        if self.hyp_len != len(ideal):
             raise ValueError("hyp_len must match the delay count")
         if self.ref_len < 0:
             raise ValueError("ref_len must be non-negative")
         if self.source_ms < 0:
             raise ValueError("source_ms must be non-negative")
-        if any(b < a for a, b in zip(self.ideal_ms, self.ideal_ms[1:])):
+        # a comparison with NaN is false, so a NaN delay passes each check
+        if any(map(gt, ideal, ideal[1:])):
             raise ValueError("ideal delays must be non-decreasing")
-        if any(d > self.source_ms + 1e-9 for d in self.ideal_ms):
+        if any(map(gt, ideal, repeat(self.source_ms + 1e-9))):
             raise ValueError("ideal delays cannot exceed the source duration")
-        if any(d < 0 for d in self.ideal_ms) or any(
-            d < 0 for d in self.wall_ms
-        ):
+        if any(map(lt, chain(ideal, self.wall_ms), repeat(0))):
             raise ValueError("delays must be non-negative")
 
 

@@ -11,11 +11,10 @@ a trailing partial resolves to, if any.  Each word is logged with when it
 happened -- both in source time (how much audio had been read) and on a
 wall clock that adds the model compute time accumulated so far, so
 computation-aware delays dominate ideal ones by construction.  Target words
-are tracked the same way, from the first token after the last complete
-word, so a READ or WRITE costs what it adds rather than what came before.
-The scan runs only after a token that can complete a word (one without the
-BPE ``@@`` suffix, or one with the SentencePiece ``▁`` prefix), so a WRITE
-scans the tokens of its word once, however many decoder steps it took.
+are grouped as tokens arrive: each decoded token goes once through one
+:class:`~simulharness.core.WordBuilder`, which returns the word it
+completes, so a READ or WRITE costs what it adds rather than what came
+before, and each target id becomes a ``SubwordToken`` once per utterance.
 
 The decision rule: WRITE once the source is finished, or once the number of
 detected source words reaches ``k`` plus the number of words already emitted
@@ -37,7 +36,7 @@ from __future__ import annotations
 
 import json
 import logging
-import time
+from time import perf_counter
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from typing import Iterable, Iterator, Sequence
@@ -50,12 +49,10 @@ from .core import (
     Hypothesis,
     SubwordToken,
     Utterance,
-    can_complete_word,
+    WordBuilder,
     check_frame_ms,
     default_max_target_words,
-    extend_word_spans,
     segment_stream,
-    word_spans,
 )
 from .detection import AdaptiveDetector, DetectionKind, fixed_word_count
 from .model import ModelInterface
@@ -239,6 +236,8 @@ class SimulEngine:
         self._eos_id = model.eos_id
         self._vocab = model.target_vocab
         self._convention = model.target_convention
+        self._builder = WordBuilder(self._convention)
+        self._token_of: dict[int, SubwordToken] = {}  # one object per id
         self._frame_ms = frame_ms
         self._cap = config.max_target_words or default_max_target_words()
         self._frames: list[Frame] = []
@@ -263,13 +262,6 @@ class SimulEngine:
     @property
     def state(self) -> SimulState:
         return self._state
-
-    def _timed(self, fn, *args):
-        start = time.perf_counter()
-        try:
-            return fn(*args)
-        finally:
-            self._compute_ms += (time.perf_counter() - start) * 1000.0
 
     def _wall_now(self) -> float:
         # wall time = source time consumed (waiting) + compute time so far
@@ -381,20 +373,21 @@ class SimulEngine:
 
         Returns that word, appending its tokens to the state.  Returns
         ``None`` when a premature EOS forces a READ.  When the target ends,
-        returns what :meth:`_end_target` gives.  The complete words are
-        brought up to date only after a token that can complete a word, so
-        the open word's tokens are scanned once per word, not once per step.
+        returns what :meth:`_end_target` gives.  Each token is pushed to the
+        word builder once, as it arrives.
         """
         model, state, config = self._model, self._state, self._config
-        eos_id, convention = self._eos_id, self._convention
+        eos_id, builder, token_of = self._eos_id, self._builder, self._token_of
+        tokens, ids = state.target_tokens, state.target_token_ids
         appended = 0
         while len(state.target_words) <= state.emitted_words:
             if appended >= MAX_TOKENS_PER_WORD:
                 logger.warning("word generation hit the per-write token cap")
                 self._truncated = True
                 return self._end_target()
-            scores = self._timed(model.decoder_step, self._encoder_states,
-                                 state.target_token_ids)
+            start = perf_counter()
+            scores = model.decoder_step(self._encoder_states, ids)
+            self._compute_ms += (perf_counter() - start) * 1000.0
             # the method: np.argmax would add a Python call per step
             next_id = int(np.asarray(scores).argmax())
             if next_id == eos_id:
@@ -407,24 +400,23 @@ class SimulEngine:
                 if not np.isfinite(masked).any():
                     return None
                 next_id = int(masked.argmax())
-            token = SubwordToken(self._vocab[next_id], convention)
-            state.target_tokens.append(token)
-            state.target_token_ids.append(next_id)
-            appended += 1
-            if can_complete_word(token):
-                extend_word_spans(
-                    state.target_words, state.target_tokens, convention
+            token = token_of.get(next_id)
+            if token is None:
+                token = token_of[next_id] = SubwordToken(
+                    self._vocab[next_id], self._convention
                 )
+            tokens.append(token)
+            ids.append(next_id)
+            appended += 1
+            if word := builder.push(token.surface):
+                state.target_words.append((word, len(tokens) - 1 - builder.lag))
         return state.target_words[state.emitted_words][0]
 
     def _end_target(self) -> str | None:
         """Mark the target ended; return the word its trailing partial
         resolves to, or ``None`` when every token is in a complete word."""
         self._done = True
-        words, tokens = self._state.target_words, self._state.target_tokens
-        start = words[-1][1] + 1 if words else 0
-        flushed, _ = word_spans(tokens[start:], self._convention, eos=True)
-        return flushed[0][0] if flushed else None
+        return self._builder.flush() or None
 
     def result(self) -> tuple[Hypothesis, list[Event]]:
         if not self._done:

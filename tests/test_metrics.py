@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from helpers import oracle_lagging
 from simulharness import (
     DelaySequence,
+    Hypothesis,
     MetricsReport,
     Regime,
     aggregate_metrics,
@@ -103,6 +104,56 @@ def test_lagging_requires_a_reference():
     delays = DelaySequence((100.0,), (100.0,), 1000.0, 1, 0)
     with pytest.raises(ValueError, match="non-empty reference"):
         average_lagging(delays)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("ideal, wall, source_ms", [
+    ((_NAN,), (0.0,), 1000.0),
+    ((0.0,), (_NAN,), 1000.0),
+    ((0.0,), (_INF,), 1000.0),
+    # a NaN hides the drop from 500 to 100 from the pairwise check
+    ((500.0, _NAN, 100.0), (1.0, 2.0, 3.0), 1000.0),
+    ((1000.0 + 1e-10,), (1000.0,), 1000),
+    ((5.0,), (5.0,), _NAN),
+])
+def test_delay_sequence_accepts_nan_and_infinite_wall_delays(
+    ideal, wall, source_ms
+):
+    """Comparisons with NaN are false, so no check refuses a NaN delay."""
+    DelaySequence(ideal, wall, source_ms, len(ideal), 1)
+
+
+@pytest.mark.parametrize("ideal, wall, message", [
+    ((-1.0,), (0.0,), "non-negative"),
+    ((-_INF,), (0.0,), "non-negative"),
+    ((0.0,), (-_INF,), "non-negative"),
+    ((_NAN, -1.0), (0.0, 0.0), "non-negative"),
+    ((0.0, 0.0), (_NAN, -1.0), "non-negative"),
+    ((_INF,), (0.0,), "exceed the source"),
+    ((_NAN, 2000.0), (0.0, 0.0), "exceed the source"),
+    ((2.0, 1.0), (0.0, 0.0), "non-decreasing"),
+    ((2.0, 1.0, _NAN), (0.0, 0.0, 0.0), "non-decreasing"),
+])
+def test_delay_sequence_refuses_negative_and_infinite_ideal_delays(
+    ideal, wall, message
+):
+    with pytest.raises(ValueError, match=message):
+        DelaySequence(ideal, wall, 1000.0, len(ideal), 1)
+
+
+def test_hypothesis_converts_delays_and_words_by_type():
+    hyp = Hypothesis((), (1, "b"), (5.7, -3), (_NAN, _INF))
+    assert hyp.words == ("1", "b")
+    assert hyp.ideal_delays_ms == (5, -3)
+    assert hyp.wall_delays_ms[1] == _INF and hyp.wall_delays_ms[0] != 0
+    with pytest.raises(ValueError):
+        Hypothesis((), ("a",), (_NAN,), (0.0,))
+    with pytest.raises(OverflowError):
+        Hypothesis((), ("a",), (_INF,), (0.0,))
+    with pytest.raises(ValueError, match="one delay pair"):
+        Hypothesis((), ("a",), (), ())
 
 
 # ---------------------------------------------------------------------------

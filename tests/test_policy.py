@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import simulharness.core as core_module
 import simulharness.policy as policy_module
 from helpers import (
     EXPANDING_LEXICON,
@@ -27,8 +28,8 @@ from simulharness import (
     SimulEngine,
     SimulRunError,
     SimulState,
+    SubwordToken,
     decide,
-    extend_word_spans,
     read_event_log,
     run_simultaneous,
     segment_stream,
@@ -316,26 +317,39 @@ def test_per_word_token_budget_flushes_a_never_ending_word():
 
 
 @pytest.mark.parametrize("convention", list(Convention))
-def test_word_spans_are_extended_once_per_emitted_word(
-    monkeypatch, convention
-):
-    """Only a token that can complete a word brings the complete words up
-    to date, so the engine scans once per word, not once per decoder step;
-    an SP target's last word is flushed at the end, not extended."""
+def test_target_words_are_grouped_as_tokens_arrive(monkeypatch, convention):
+    """The engine groups target words token by token: it never calls
+    ``word_spans`` or ``extend_word_spans``, and builds one ``SubwordToken``
+    per distinct target id, however often the id is decoded."""
     calls = []
 
-    def counting(spans, tokens, target_convention):
-        calls.append(len(tokens))
-        return extend_word_spans(spans, tokens, target_convention)
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(policy_module, "extend_word_spans", counting)
+    for name in ("word_spans", "extend_word_spans"):
+        counted = counting(name, getattr(core_module, name))
+        monkeypatch.setattr(core_module, name, counted)
+        monkeypatch.setattr(policy_module, name, counted, raising=False)
+    built = []
+
+    def token(surface, token_convention):
+        built.append(surface)
+        return SubwordToken(surface, token_convention)
+
+    monkeypatch.setattr(policy_module, "SubwordToken", token)
     model = make_model(EXPANDING_LEXICON, target_piece_len=2,
                        target_convention=convention)
-    utt = aligned_utterance(model, ["da", "geht", "esel", "haus"])
+    utt = aligned_utterance(model, ["da", "geht", "da", "esel", "haus", "da"])
     hyp, _ = run_simultaneous(model, utt, PolicyConfig(k=2))
+    assert calls == []
     assert hyp.words == utt.reference
-    assert len(hyp.tokens) > len(hyp.words)
-    assert len(calls) == len(hyp.words)
+    surfaces = [t.surface for t in hyp.tokens]
+    assert len(surfaces) > len(hyp.words)
+    assert len(surfaces) > len(set(surfaces))  # ids are decoded again
+    assert sorted(built) == sorted(set(surfaces))
 
 
 class _ScriptedDecoder(ModelInterface):
@@ -385,6 +399,33 @@ def test_pieces_that_strip_to_empty_make_no_word(
                                     config)
     assert clean_hyp.words == hyp.words
     assert clean_hyp.ideal_delays_ms == delays
+
+
+_SURFACES = ["", "@@", "▁", "a@@", "▁b", "▁c@@", "d", "@@e", "f▁g", "h@@▁"]
+
+
+@given(
+    convention=st.sampled_from(list(Convention)),
+    script=st.lists(st.sampled_from(_SURFACES), max_size=14),
+    k=st.integers(1, 4),
+    detection=st.sampled_from(list(DetectionKind)),
+    max_target_words=st.none() | st.integers(1, 4),
+)
+def test_engine_groups_words_as_word_spans_does(
+    convention, script, k, detection, max_target_words
+):
+    """Whatever the decoder emits, markers anywhere and empty pieces
+    included, the engine's words are those ``word_spans`` finds in its
+    tokens, and their ideal delays never decrease."""
+    utt = aligned_utterance(make_model(), ["da", "esel", "geht", "haus"])
+    config = PolicyConfig(k=k, detection=detection,
+                          max_target_words=max_target_words)
+    hyp, _ = run_simultaneous(_ScriptedDecoder(script, convention), utt,
+                              config)
+    spans, _ = word_spans(hyp.tokens, convention, eos=True)
+    assert hyp.words == tuple(word for word, _ in spans)
+    delays = hyp.ideal_delays_ms
+    assert all(a <= b for a, b in zip(delays, delays[1:]))
 
 
 # ---------------------------------------------------------------------------

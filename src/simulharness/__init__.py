@@ -23,7 +23,6 @@ from .core import (
     SubwordToken,
     Utterance,
     default_max_target_words,
-    extend_word_spans,
     load_manifest,
     segment_stream,
     subword_tokens,

@@ -251,25 +251,6 @@ def word_spans(
     return spans, bool(builder.pieces)
 
 
-def extend_word_spans(
-    spans: list[tuple[str, int]],
-    tokens: Sequence[SubwordToken],
-    convention: Convention,
-) -> list[tuple[str, int]]:
-    """Bring ``spans`` up to date with a token sequence that has grown.
-
-    ``spans`` holds the complete words of a prefix of ``tokens`` (as
-    :func:`word_spans` gives them) and is extended in place.  Only the tokens
-    from the first one after the last complete word are scanned, so a
-    sequence that grows a few tokens at a time is scanned about once.
-    """
-    start = spans[-1][1] + 1 if spans else 0
-    if start < len(tokens):
-        found, _ = word_spans(tokens[start:], convention)
-        spans.extend((word, start + i) for word, i in found)
-    return spans
-
-
 def subword_tokens(
     words: Sequence[str],
     convention: Convention,

@@ -11,9 +11,11 @@ The adaptive counter is robust to silence -- appended blank frames add no
 tokens -- while the fixed counter keeps ticking.  A collapsed token is a run
 of equal argmax rows, and a run ends at a non-blank frame whose next row
 differs, or at the last frame.  :class:`AdaptiveDetector` applies that rule
-on a stream: each update argmaxes only the rows that are new or changed,
-finds the runs from the frame before them on, and counts words from the last
-complete one on.
+on a stream: each update argmaxes only the rows that are new or changed and
+finds the runs from the frame before them on.  One
+:class:`~simulharness.core.WordBuilder` groups the runs into words, as one
+groups the engine's target tokens; it regroups from the first run after the
+last word that the update kept.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import Convention, SubwordToken, extend_word_spans, word_spans
+from .core import Convention, SubwordToken, WordBuilder, word_spans
 
 
 class DetectionKind(Enum):
@@ -184,43 +186,45 @@ class AdaptiveDetector:
     :meth:`update` takes the posterior rows from frame ``first`` on; the rows
     before ``first`` are final.  It argmaxes each new row once, keeps the
     runs that end before frame ``first - 1`` and finds the rest again by the
-    run rule.  Words come from :func:`~simulharness.core.extend_word_spans`,
-    from the first token after the last complete word; the detector keeps no
-    word end frames.  After every update :attr:`collapsed` equals
-    ``ctc_greedy_collapse`` over all rows so far, and the count equals the
-    ``word_count`` of ``adaptive_word_count`` over that.
+    run rule.  One :class:`~simulharness.core.WordBuilder` groups the runs
+    into words: a word stays while the run that closed it stays, and the
+    builder regroups from the first run after the last kept word.  After
+    every update :attr:`collapsed` equals ``ctc_greedy_collapse`` over all
+    rows so far, and the count equals the ``word_count`` of
+    ``adaptive_word_count`` over that.
     """
 
     def __init__(self, convention: Convention) -> None:
         self._convention = convention
+        self._builder = WordBuilder(convention)
         self._path: list[int] = []  # argmax of every row so far
-        self._tokens: list[SubwordToken] = []  # one per run
+        self._surfaces: list[str] = []  # one per run
         self._ends: list[int] = []  # the last frame of each run
-        self._spans: list[tuple[str, int]] = []  # complete words
+        self._words: list[int] = []  # the last run of each complete word
 
     @property
     def collapsed(self) -> list[tuple[SubwordToken, int]]:
         """Each run's token with its last frame, over every row so far."""
-        return list(zip(self._tokens, self._ends))
+        return [(SubwordToken(surface, self._convention), end)
+                for surface, end in zip(self._surfaces, self._ends)]
 
     def update(self, posterior: CtcPosterior, first: int) -> int:
         """Take ``posterior`` as the rows from frame ``first`` on; return the
         number of complete words over every row so far."""
-        path, tokens, ends = self._path, self._tokens, self._ends
-        spans = self._spans
+        path, surfaces, ends = self._path, self._surfaces, self._ends
+        words, builder = self._words, self._builder
         if not 0 <= first <= len(path):
             raise ValueError("a posterior must not skip frames")
-        blank, convention = posterior.blank_id, self._convention
+        blank = posterior.blank_id
         # the runs that end before frame first - 1 stay as they are; the run
-        # through it, if any, keeps its token but may now end later
+        # through it, if any, keeps its surface but may now end later
         kept = bisect_left(ends, first - 1)
         stable = kept + (first > 0 and path[first - 1] != blank)
-        # a word stays complete while its closing token stays (SentencePiece
-        # words close at the next word's first token)
-        closing = int(convention is Convention.SP_PREFIX)
-        while spans and spans[-1][1] + closing >= stable:
-            spans.pop()
-        del path[first:], tokens[kept:], ends[kept:]
+        # a word stays while the run that closed it stays: its own last run,
+        # or the next word's first one (``lag`` runs on)
+        while words and words[-1] + builder.lag >= stable:
+            words.pop()
+        del path[first:], surfaces[kept:], ends[kept:]
         # numpy.argmax, not the method: the rows taken are counted through it
         path += np.argmax(posterior.scores, axis=1).tolist()
         # a run ends at a non-blank frame whose next row differs, or at the
@@ -230,6 +234,13 @@ class AdaptiveDetector:
         pairs = zip(rows, rows[1:] + [-1])  # each row with the next one
         for frame, (index, after) in enumerate(pairs, start):
             if index != after and index != blank:
-                tokens.append(SubwordToken(posterior.vocab[index], convention))
+                surfaces.append(posterior.vocab[index])
                 ends.append(frame)
-        return len(extend_word_spans(spans, tokens, convention))
+        restart = words[-1] + 1 if words else 0
+        builder.flush()
+        # counting from -lag, each run's number is the completed word's end
+        for run, surface in enumerate(surfaces[restart:],
+                                      restart - builder.lag):
+            if builder.push(surface):
+                words.append(run)
+        return len(words)

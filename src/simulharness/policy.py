@@ -3,18 +3,21 @@
 The engine alternates two actions.  READ consumes the next fixed-duration
 chunk of source frames and has the model encode what the chunk added
 (``encode_more``); adaptive detection then collapses only the posterior rows
-the model returned and counts words from the last complete one on.  WRITE
-asks the decoder for tokens until one more complete target word exists and
-ends in one of three ways: a word, a READ forced by a premature EOS, or the
-end of the target (EOS, or the per-word token budget), which emits the word
-a trailing partial resolves to, if any.  Each word is logged with when it
-happened -- both in source time (how much audio had been read) and on a
-wall clock that adds the model compute time accumulated so far, so
-computation-aware delays dominate ideal ones by construction.  Target words
-are grouped as tokens arrive: each decoded token goes once through one
-:class:`~simulharness.core.WordBuilder`, which returns the word it
-completes, so a READ or WRITE costs what it adds rather than what came
-before, and each target id becomes a ``SubwordToken`` once per utterance.
+the model returned.  WRITE asks the decoder for tokens until one more
+complete target word exists and ends in one of three ways: a word, a READ
+forced by a premature EOS, or the end of the target (EOS, or the per-word
+token budget), which emits the word a trailing partial resolves to, if any.
+Each word is logged with when it happened -- both in source time (how much
+audio had been read) and on a wall clock that adds the model compute time
+accumulated so far, so computation-aware delays dominate ideal ones by
+construction.
+
+One :class:`~simulharness.core.WordBuilder` groups words on each side.  Each
+decoded target token goes through the engine's once, and a WRITE returns
+the word as soon as a token completes it.  The adaptive detector's groups
+the source runs, and regroups from the first run after the last word an
+update kept.  So a READ or WRITE costs what it adds rather than what came
+before, and the hypothesis makes one ``SubwordToken`` per target id.
 
 The decision rule: WRITE once the source is finished, or once the number of
 detected source words reaches ``k`` plus the number of words already emitted
@@ -162,10 +165,7 @@ class SimulState:
     source_finished: bool = False
     detected: int = 0
     emitted_words: int = 0
-    target_tokens: list[SubwordToken] = field(default_factory=list)
     target_token_ids: list[int] = field(default_factory=list)
-    #: complete words among ``target_tokens``: (word, last token index)
-    target_words: list[tuple[str, int]] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -237,7 +237,7 @@ class SimulEngine:
         self._vocab = model.target_vocab
         self._convention = model.target_convention
         self._builder = WordBuilder(self._convention)
-        self._token_of: dict[int, SubwordToken] = {}  # one object per id
+        self._complete_tokens = 0  # tokens up to the last complete word's end
         self._frame_ms = frame_ms
         self._cap = config.max_target_words or default_max_target_words()
         self._frames: list[Frame] = []
@@ -363,28 +363,21 @@ class SimulEngine:
                 )
                 self._truncated = self._done = True
                 # drop a trailing partial so the tokens detokenize to the words
-                keep = state.target_words[-1][1] + 1
-                del state.target_tokens[keep:]
-                del state.target_token_ids[keep:]
+                del state.target_token_ids[self._complete_tokens:]
         return self._events[first:]
 
     def _generate_word(self) -> str | None:
         """Run decoder steps until one more complete target word exists.
 
-        Returns that word, appending its tokens to the state.  Returns
-        ``None`` when a premature EOS forces a READ.  When the target ends,
-        returns what :meth:`_end_target` gives.  Each token is pushed to the
-        word builder once, as it arrives.
+        Returns that word as soon as a token completes it, appending the
+        token ids to the state.  Returns ``None`` when a premature EOS forces
+        a READ.  When the target ends, returns what :meth:`_end_target`
+        gives.  Each token is pushed to the word builder once, as it arrives.
         """
         model, state, config = self._model, self._state, self._config
-        eos_id, builder, token_of = self._eos_id, self._builder, self._token_of
-        tokens, ids = state.target_tokens, state.target_token_ids
-        appended = 0
-        while len(state.target_words) <= state.emitted_words:
-            if appended >= MAX_TOKENS_PER_WORD:
-                logger.warning("word generation hit the per-write token cap")
-                self._truncated = True
-                return self._end_target()
+        eos_id, builder, vocab = self._eos_id, self._builder, self._vocab
+        ids = state.target_token_ids
+        for _ in range(MAX_TOKENS_PER_WORD):
             start = perf_counter()
             scores = model.decoder_step(self._encoder_states, ids)
             self._compute_ms += (perf_counter() - start) * 1000.0
@@ -400,17 +393,13 @@ class SimulEngine:
                 if not np.isfinite(masked).any():
                     return None
                 next_id = int(masked.argmax())
-            token = token_of.get(next_id)
-            if token is None:
-                token = token_of[next_id] = SubwordToken(
-                    self._vocab[next_id], self._convention
-                )
-            tokens.append(token)
             ids.append(next_id)
-            appended += 1
-            if word := builder.push(token.surface):
-                state.target_words.append((word, len(tokens) - 1 - builder.lag))
-        return state.target_words[state.emitted_words][0]
+            if word := builder.push(vocab[next_id]):
+                self._complete_tokens = len(ids) - builder.lag
+                return word
+        logger.warning("word generation hit the per-write token cap")
+        self._truncated = True
+        return self._end_target()
 
     def _end_target(self) -> str | None:
         """Mark the target ended; return the word its trailing partial
@@ -422,8 +411,12 @@ class SimulEngine:
         if not self._done:
             raise RuntimeError("utterance still in progress")
         writes = [e for e in self._events if e.kind is ActionKind.WRITE]
+        ids = self._state.target_token_ids
+        # one token object per distinct id
+        token_of = {i: SubwordToken(self._vocab[i], self._convention)
+                    for i in set(ids)}
         hypothesis = Hypothesis(
-            tokens=tuple(self._state.target_tokens),
+            tokens=tuple(map(token_of.__getitem__, ids)),
             words=tuple(e.payload for e in writes),
             ideal_delays_ms=tuple(e.ideal_ms for e in writes),
             wall_delays_ms=tuple(e.wall_ms for e in writes),

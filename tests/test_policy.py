@@ -319,8 +319,8 @@ def test_per_word_token_budget_flushes_a_never_ending_word():
 @pytest.mark.parametrize("convention", list(Convention))
 def test_target_words_are_grouped_as_tokens_arrive(monkeypatch, convention):
     """The engine groups target words token by token: it never calls
-    ``word_spans`` or ``extend_word_spans``, and builds one ``SubwordToken``
-    per distinct target id, however often the id is decoded."""
+    ``word_spans``, and builds one ``SubwordToken`` per distinct target id,
+    however often the id is decoded."""
     calls = []
 
     def counting(name, fn):
@@ -329,10 +329,9 @@ def test_target_words_are_grouped_as_tokens_arrive(monkeypatch, convention):
             return fn(*args, **kwargs)
         return wrapper
 
-    for name in ("word_spans", "extend_word_spans"):
-        counted = counting(name, getattr(core_module, name))
-        monkeypatch.setattr(core_module, name, counted)
-        monkeypatch.setattr(policy_module, name, counted, raising=False)
+    counted = counting("word_spans", core_module.word_spans)
+    monkeypatch.setattr(core_module, "word_spans", counted)
+    monkeypatch.setattr(policy_module, "word_spans", counted, raising=False)
     built = []
 
     def token(surface, token_convention):

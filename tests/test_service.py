@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from itertools import chain
 from pathlib import Path
 
@@ -708,6 +709,15 @@ def test_any_model_exception_ends_the_session_with_an_error():
         )
     assert corpus.failures == ("bad",)
     assert corpus.report.n_utts == 1
+
+
+def test_leaving_a_server_block_stops_the_server_promptly():
+    model = make_model()
+    with StreamTranslationServer(model) as handle:
+        stream_utterance(handle.address, aligned_utterance(model, ["da"]),
+                         PolicyConfig(k=1), timeout_s=10)
+        start = time.perf_counter()
+    assert time.perf_counter() - start < 0.25
 
 
 def test_concurrent_sessions_stay_isolated(server):

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import simulharness.core as core_module
+import simulharness.detection as detection_module
 from helpers import (
     EXPANDING_LEXICON,
     TINY_LEXICON,
@@ -26,15 +28,12 @@ from simulharness import (
     ModelInterface,
     PolicyConfig,
     SimulEngine,
-    SubwordToken,
     adaptive_word_count,
     build_synthetic_utterance,
     ctc_greedy_collapse,
     default_max_target_words,
-    extend_word_spans,
     run_simultaneous,
     segment_stream,
-    word_spans,
 )
 
 
@@ -236,18 +235,53 @@ def test_detector_rejects_a_posterior_that_skips_frames():
         detector.update(_posterior([1]), 3)
 
 
-@given(
-    convention=st.sampled_from(list(Convention)),
-    surfaces=st.lists(
-        st.sampled_from(["a", "b@@", "▁c", "d", "▁", "@@", ""]), max_size=20
-    ),
-    cuts=st.lists(st.integers(0, 20), max_size=8),
-)
-def test_extending_word_spans_equals_scanning_everything(
-    convention, surfaces, cuts
+#: source words that are subword pieces under both conventions, so a
+#: detector's words span one to three runs whichever convention it reads
+_PIECE_LEXICON = {
+    "▁ab": "one", "▁c@@": "two", "de": "three",
+    "f@@": "four", "▁gh": "five", "i": "six",
+}
+
+
+@pytest.mark.parametrize("reencode", [False, True],
+                         ids=["incremental", "reencode"])
+@pytest.mark.parametrize("convention", list(Convention))
+def test_adaptive_detector_never_calls_word_spans(
+    monkeypatch, convention, reencode
 ):
-    tokens = [SubwordToken(s, convention) for s in surfaces]
-    spans: list[tuple[str, int]] = []
-    for cut in sorted(cuts) + [len(tokens)]:
-        extend_word_spans(spans, tokens[:cut], convention)
-        assert spans == word_spans(tokens[:cut], convention)[0]
+    """The detector groups source runs through its own ``WordBuilder``, and
+    each READ's count equals ``adaptive_word_count`` over the whole prefix."""
+    model = make_model(_PIECE_LEXICON)
+    rng = np.random.default_rng(0)
+    words = rng.choice(sorted(_PIECE_LEXICON), size=60).tolist()
+    utt = build_synthetic_utterance(
+        words,
+        (10 * rng.integers(1, 30, size=60)).tolist(),
+        vocab=model.source_word_index,
+        gaps_ms=(10 * rng.choice([0, 0, 1, 7, 40], size=61)).tolist(),
+    )
+    calls = []
+    for module in (core_module, detection_module):
+        def counting(*args, _word_spans=module.word_spans, **kwargs):
+            calls.append(args)
+            return _word_spans(*args, **kwargs)
+        monkeypatch.setattr(module, "word_spans", counting)
+    config = PolicyConfig(k=10**6, detection="adaptive", step_ms=40,
+                          source_convention=convention)
+    engine = SimulEngine(_ReencodeOnly(model) if reencode else model,
+                         config, frame_ms=utt.frame_ms)
+    counts = []
+    for chunk in segment_stream(utt, config.step_ms):
+        engine.push_chunk(chunk)
+        counts.append((engine.state.received_ms // utt.frame_ms,
+                       engine.state.detected))
+    monkeypatch.undo()
+    assert calls == []
+    _, whole = model.encode_prefix(utt.frames)
+    for n_frames, count in counts:
+        prefix = CtcPosterior(whole.scores[:n_frames], whole.vocab)
+        oracle = adaptive_word_count(
+            ctc_greedy_collapse(prefix, convention), convention
+        )
+        assert count == oracle.word_count
+    assert count > 20

@@ -348,8 +348,8 @@ def serve_command(model_path: Path, host: str, port: int) -> None:
               help="Send chunks back to back, or each once its audio exists.")
 @click.option("--timeout-s", type=float, callback=_timeout_s,
               default=30.0, show_default=True,
-              help="Socket timeout per utterance, in seconds: above 0 and "
-              "at most the platform's thread timeout (about 9.2e9 on Linux).")
+              help="Wait limit per utterance, in seconds: above 0 and at "
+              "most the platform's thread timeout (about 9.2e9 on Linux).")
 @click.option("--out", "out_dir", type=_PATH_OUT_DIR,
               default=Path("remote_eval_out"), show_default=True,
               help="Directory for metrics.json and per-utterance logs.")

@@ -24,6 +24,8 @@ engine's wall delay (source time read plus compute).  Under fast pacing the
 client reports that, so computation-aware metrics are the server's.  Under
 real-time pacing it sends each chunk once its audio exists and reports each
 WORD's raw arrival, which charges compute and transport as a listener would.
+The client reads in its sending thread, before each send and while it waits;
+under fast pacing it yields the CPU before each send until the first reply.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ from __future__ import annotations
 import base64
 import json
 import logging
+import os
+import select
 import socket
 import socketserver
 import struct
@@ -69,6 +73,8 @@ _HELLO_FIELDS = frozenset({"config", "frame_ms"})
 #: seconds between the serve loop's checks for shutdown: a server stops
 #: within this, for about 0.2% of a core while idle
 _POLL_S = 0.05
+
+_yield_cpu = getattr(os, "sched_yield", lambda: None)  # Unix only
 
 
 class ServiceError(RuntimeError):
@@ -340,11 +346,10 @@ def stream_utterance(
     config = config.for_utterance(utterance)
 
     received: list[tuple[WireMessage, float]] = []
-    reader_error: list[str] = []
 
     with socket.create_connection(address, timeout=timeout_s) as sock:
-        rfile = sock.makefile("rb")
         started = time.perf_counter()
+        pending = b""
 
         def now_ms() -> float:
             return (time.perf_counter() - started) * 1000.0
@@ -354,19 +359,29 @@ def stream_utterance(
             # for a later flush into the dead socket
             sock.sendall(WireMessage(kind, session, payload).to_line())
 
-        def read_loop() -> None:
+        def receive(until_ms: float) -> bool:
+            # read until EOS_TGT (true) or ``until_ms`` on the session clock
+            nonlocal pending
             try:
-                for raw in rfile:
-                    message = WireMessage.parse(raw)
-                    received.append((message, now_ms()))
-                    if message.kind in (KIND_EOS_TGT, KIND_ERROR):
-                        return
-                reader_error.append("connection closed before EOS_TGT")
+                while not received or received[-1][0].kind != KIND_EOS_TGT:
+                    wait_s = max(0.0, until_ms - now_ms()) / 1000.0
+                    if not select.select([sock], [], [], wait_s)[0]:
+                        return False
+                    data, arrival = sock.recv(1 << 16), now_ms()
+                    if not data:
+                        raise ServiceError("connection closed before EOS_TGT")
+                    *lines, pending = (pending + data).split(b"\n")
+                    for line in lines:
+                        message = WireMessage.parse(line + b"\n")  # as sent
+                        if message.kind == KIND_ERROR:
+                            detail = (message.payload or {}).get("message")
+                            raise ServiceError(f"remote error: {detail}")
+                        received.append((message, arrival))
+                        if message.kind == KIND_EOS_TGT:
+                            break
             except (ValueError, OSError) as exc:
-                reader_error.append(str(exc))
-
-        reader = threading.Thread(target=read_loop, daemon=True)
-        reader.start()
+                raise ServiceError(str(exc)) from None
+            return True
 
         transmit(
             KIND_HELLO,
@@ -375,25 +390,23 @@ def stream_utterance(
         try:
             audio_ms = 0
             for chunk in chunks:
-                if pacing == "realtime":
-                    # due once its audio exists, on the session clock
-                    audio_ms += len(chunk) * utterance.frame_ms
-                    time.sleep(max(0.0, audio_ms - now_ms()) / 1000.0)
+                # real time: due once its audio exists on the session clock
+                audio_ms += len(chunk) * utterance.frame_ms
+                if pacing == "fast" and not received:
+                    # a server sharing this CPU takes each chunk before the
+                    # next, so the first reply is read as soon as it is sent
+                    _yield_cpu()
+                if receive(audio_ms if pacing == "realtime" else 0):
+                    break  # the session is over: send no more
                 transmit(KIND_CHUNK, _chunk_payload(chunk))
-            transmit(KIND_EOS_SRC, None)
+            else:
+                transmit(KIND_EOS_SRC, None)
         except OSError:
-            pass  # the reader will surface the server's last word
-        reader.join(timeout=timeout_s)
-        if reader.is_alive():
+            pass  # the server's last word is still to be read
+        if not receive(now_ms() + timeout_s * 1000.0):
             raise ServiceError("timed out waiting for the target stream")
 
-    if reader_error:
-        raise ServiceError(reader_error[0])
-    final = received[-1][0] if received else None
-    if final is None or final.kind == KIND_ERROR:
-        detail = (final.payload or {}).get("message") if final else "no reply"
-        raise ServiceError(f"remote error: {detail}")
-
+    final = received[-1][0]
     replies = [m for m, _ in received if m.kind == KIND_WORD]
     arrivals = [arrival for m, arrival in received if m.kind == KIND_WORD]
     convention = Convention(final.payload["convention"])
@@ -415,7 +428,7 @@ def _check_pacing(pacing: str) -> None:
 
 
 def check_timeout_s(timeout_s: float) -> float:
-    """``timeout_s`` if a socket and a thread join can both wait that long:
+    """``timeout_s`` if a socket and ``select`` can both wait that long:
     above 0 and at most ``threading.TIMEOUT_MAX`` (about 9.2e9 s on Linux),
     so not NaN or infinite.  Raises ``ValueError`` otherwise."""
     if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # NaN compares false

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import logging
 import os
@@ -167,6 +168,37 @@ def test_remote_run_equals_local_run(server, detection):
         wall >= ideal
         for wall, ideal in zip(remote.wall_delays_ms, remote.ideal_delays_ms)
     )
+
+
+def test_a_long_stream_over_the_wire_equals_a_local_run(monkeypatch):
+    """1,500 words at k=3 with adaptive detection, sent as fast as the
+    client can, and every word and ideal delay is the in-process engine's.
+    Socket buffers of a few kB on both sides hold far less than the 1,500
+    WORDs, so a client that read only once it had sent everything would
+    stall the server's writes, and with them its own sends."""
+    connect, setup = socket.create_connection, _SessionHandler.setup
+
+    def connect_small(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        return sock
+
+    def setup_small(handler):
+        handler.request.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        setup(handler)
+
+    monkeypatch.setattr(socket, "create_connection", connect_small)
+    monkeypatch.setattr(_SessionHandler, "setup", setup_small)
+    model = make_model()
+    names = sorted(model.source_word_index)
+    utt = aligned_utterance(model, [names[i % 6] for i in range(1500)])
+    config = PolicyConfig(k=3, detection="adaptive")
+    local, _ = run_simultaneous(model, utt, config)
+    with StreamTranslationServer(model) as handle:
+        remote, _ = stream_utterance(handle.address, utt, config, timeout_s=10)
+    assert len(local.words) == 1500 and not local.truncated
+    assert remote.words == local.words
+    assert remote.ideal_delays_ms == local.ideal_delays_ms
 
 
 def test_remote_corpus_report_matches_local(server):
@@ -836,6 +868,139 @@ def test_stream_utterance_raises_on_remote_error(server):
     utt = aligned_utterance(model, ["da", "esel"])
     with pytest.raises(ServiceError, match="model: "):
         stream_utterance(server.address, utt, PolicyConfig(k=1), timeout_s=10)
+
+
+class _TrickleHandler(socketserver.StreamRequestHandler):
+    """A stalled server: after HELLO it sends one byte of a WORD line every
+    0.1 s and never ends the line."""
+
+    def handle(self):
+        hello = WireMessage.parse(self.rfile.readline())
+        line = WireMessage("WORD", hello.session, {"word": "x"}).to_line()
+        try:
+            for byte in line[:-1]:
+                self.wfile.write(bytes([byte]))
+                self.wfile.flush()
+                time.sleep(0.1)
+        except OSError:
+            pass  # the client gave up and closed
+
+
+def test_the_timeout_bounds_the_whole_wait_for_the_target_stream():
+    """Bytes that keep coming without a whole line do not extend the wait:
+    ``timeout_s`` bounds it in total, not per read."""
+    utt = aligned_utterance(make_model(), ["da"])
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _TrickleHandler)
+    stub.daemon_threads = True
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        start = time.perf_counter()
+        with pytest.raises(
+            ServiceError, match="timed out waiting for the target stream"
+        ):
+            stream_utterance(
+                stub.server_address, utt, PolicyConfig(k=1), timeout_s=0.5
+            )
+        assert time.perf_counter() - start < 2.0
+    finally:
+        stub.shutdown()
+        stub.server_close()
+
+
+_SERVE = """
+from helpers import make_model
+from simulharness import StreamTranslationServer
+server = StreamTranslationServer(make_model())
+print(server.address[1], flush=True)
+server.serve_forever()
+"""
+
+
+@contextlib.contextmanager
+def _child_server():
+    """The address of a server on the tiny mock, in a child process that
+    inherits this process's CPU affinity."""
+    paths = [Path(simulharness.__file__).parents[1], Path(__file__).parent]
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _SERVE], stdout=subprocess.PIPE, text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, paths))),
+    )
+    try:
+        yield "127.0.0.1", int(proc.stdout.readline())
+    finally:
+        proc.terminate()
+        proc.wait(timeout=10)
+        proc.stdout.close()
+
+
+@pytest.mark.parametrize("pacing", ["fast", "realtime"])
+def test_the_client_starts_no_thread(monkeypatch, pacing):
+    """The client reads its replies in the thread that sends: no thread
+    is alive while it parses one that was not alive before the call.  The
+    server runs in a child process, so its threads are not counted."""
+    with _child_server() as address:
+        seen = []
+        parse = WireMessage.parse
+
+        def sampling(line):
+            seen.append(set(threading.enumerate()))
+            return parse(line)
+
+        monkeypatch.setattr(WireMessage, "parse", staticmethod(sampling))
+        model = make_model()
+        utt = aligned_utterance(model, ["da", "esel"])
+        before = set(threading.enumerate())
+        hyp, _ = stream_utterance(
+            address, utt, PolicyConfig(k=1), pacing=pacing, timeout_s=10,
+        )
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
+    assert len(seen) == 3  # two WORDs and EOS_TGT
+    assert all(threads <= before for threads in seen)
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="needs CPU affinity")
+def test_a_server_on_the_same_cpu_answers_before_the_source_ends(
+    monkeypatch,
+):
+    """Client and server pinned to one CPU, fast pacing: the client lets
+    the server take each chunk until the first reply, so in every session
+    it reads the first WORD before it sends EOS_SRC.  A client that sends
+    the whole source first reads it afterwards in some sessions, when the
+    scheduler does not run the server in between."""
+    cpus = os.sched_getaffinity(0)
+    events = []
+    to_line, parse = WireMessage.to_line, WireMessage.parse
+
+    def sending(message):
+        events.append(("sent", message.kind))
+        return to_line(message)
+
+    def reading(line):
+        message = parse(line)
+        events.append(("read", message.kind))
+        return message
+
+    model = make_model()
+    names = sorted(model.source_word_index)
+    utt = aligned_utterance(model, [names[i % 6] for i in range(12)])
+    orders = []
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        with _child_server() as address:
+            monkeypatch.setattr(WireMessage, "to_line", sending)
+            monkeypatch.setattr(WireMessage, "parse", staticmethod(reading))
+            for _ in range(10):
+                events.clear()
+                hyp, _ = stream_utterance(
+                    address, utt, PolicyConfig(k=1), timeout_s=10
+                )
+                assert len(hyp.words) == 12
+                orders.append(events.index(("read", "WORD"))
+                              < events.index(("sent", "EOS_SRC")))
+    finally:
+        os.sched_setaffinity(0, cpus)
+    assert all(orders)
 
 
 def test_client_evaluate_records_unreachable_server():

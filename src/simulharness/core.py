@@ -14,7 +14,7 @@ from enum import Enum
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 #: Suffix marking "this token continues the current word" (BPE-style).
 BPE_CONTINUATION = "@@"
@@ -299,18 +299,23 @@ def segment_stream(
     shorter than the step.  ``step_ms`` must be a positive multiple of the
     frame duration.
     """
+    return list(_chunks(utterance, step_ms))
+
+
+def _chunks(utterance: Utterance, step_ms: int) -> Iterator[tuple[Frame, ...]]:
+    """The chunks of :func:`segment_stream`, each cut as it is taken."""
     if step_ms <= 0:
         raise ValueError("step_ms must be positive")
     frames = utterance.frames
     if not frames:
-        return []
+        return iter(())
     if step_ms % utterance.frame_ms:
         raise ValueError(
             f"step_ms={step_ms} is not a multiple of the "
             f"{utterance.frame_ms} ms frame duration"
         )
     per_chunk = step_ms // utterance.frame_ms
-    return [frames[i : i + per_chunk] for i in range(0, len(frames), per_chunk)]
+    return (frames[i : i + per_chunk] for i in range(0, len(frames), per_chunk))
 
 
 # ---------------------------------------------------------------------------

@@ -53,9 +53,9 @@ from .core import (
     SubwordToken,
     Utterance,
     WordBuilder,
+    _chunks,
     check_frame_ms,
     default_max_target_words,
-    segment_stream,
 )
 from .detection import AdaptiveDetector, DetectionKind, fixed_word_count
 from .model import ModelInterface
@@ -139,11 +139,9 @@ class PolicyConfig:
         return self.detection is DetectionKind.ADAPTIVE
 
     def to_dict(self) -> dict:
-        return {
-            **asdict(self),
-            "detection": self.detection.value,
-            "source_convention": self.source_convention.value,
-        }
+        # every field is a scalar or an enum, so no deep copy is needed
+        return {**vars(self), "detection": self.detection.value,
+                "source_convention": self.source_convention.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "PolicyConfig":
@@ -439,7 +437,7 @@ def run_simultaneous(
     engine = SimulEngine(
         model, config.for_utterance(utterance), frame_ms=utterance.frame_ms
     )
-    for _writes in engine.run(segment_stream(utterance, config.step_ms)):
+    for _writes in engine.run(_chunks(utterance, config.step_ms)):
         pass
     return engine.result()
 

@@ -24,8 +24,9 @@ engine's wall delay (source time read plus compute).  Under fast pacing the
 client reports that, so computation-aware metrics are the server's.  Under
 real-time pacing it sends each chunk once its audio exists and reports each
 WORD's raw arrival, which charges compute and transport as a listener would.
-The client reads in its sending thread, before each send and while it waits;
-under fast pacing it yields the CPU before each send until the first reply.
+The client cuts each chunk as it sends it and reads on a selector, in its
+sending thread, before each send and while it waits; under fast pacing it
+yields the CPU before each send until the first reply.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import base64
 import json
 import logging
 import os
-import select
+import selectors
 import socket
 import socketserver
 import struct
@@ -46,7 +47,7 @@ from itertools import chain
 from typing import Iterator, Sequence
 
 from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
-from .core import _as_frame, decode_json, segment_stream
+from .core import _as_frame, _chunks, decode_json
 from .harness import CorpusResult, score_corpus
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine, SimulRunError
@@ -73,6 +74,8 @@ _HELLO_FIELDS = frozenset({"config", "frame_ms"})
 #: seconds between the serve loop's checks for shutdown: a server stops
 #: within this, for about 0.2% of a core while idle
 _POLL_S = 0.05
+
+_MAX_WAIT_S = 86400.0  #: a day, the client's longest single selector wait
 
 _yield_cpu = getattr(os, "sched_yield", lambda: None)  # Unix only
 
@@ -341,13 +344,15 @@ def stream_utterance(
     """
     _check_pacing(pacing)
     check_timeout_s(timeout_s)
-    chunks = segment_stream(utterance, config.step_ms)
+    chunks = _chunks(utterance, config.step_ms)
     session = f"{utterance.id}-{uuid.uuid4().hex[:8]}"
     config = config.for_utterance(utterance)
 
     received: list[tuple[WireMessage, float]] = []
 
-    with socket.create_connection(address, timeout=timeout_s) as sock:
+    with socket.create_connection(address, timeout=timeout_s) as sock, \
+            selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
         started = time.perf_counter()
         pending = b""
 
@@ -365,8 +370,10 @@ def stream_utterance(
             try:
                 while not received or received[-1][0].kind != KIND_EOS_TGT:
                     wait_s = max(0.0, until_ms - now_ms()) / 1000.0
-                    if not select.select([sock], [], [], wait_s)[0]:
-                        return False
+                    if not selector.select(min(wait_s, _MAX_WAIT_S)):
+                        if wait_s <= _MAX_WAIT_S:
+                            return False
+                        continue  # one wait overflows far below TIMEOUT_MAX
                     data, arrival = sock.recv(1 << 16), now_ms()
                     if not data:
                         raise ServiceError("connection closed before EOS_TGT")
@@ -428,9 +435,9 @@ def _check_pacing(pacing: str) -> None:
 
 
 def check_timeout_s(timeout_s: float) -> float:
-    """``timeout_s`` if a socket and ``select`` can both wait that long:
-    above 0 and at most ``threading.TIMEOUT_MAX`` (about 9.2e9 s on Linux),
-    so not NaN or infinite.  Raises ``ValueError`` otherwise."""
+    """``timeout_s`` if a socket can wait that long, as the client's selector
+    does a day at a time: above 0 and at most ``threading.TIMEOUT_MAX`` (about
+    9.2e9 s on Linux), so not NaN or infinite; else ``ValueError``."""
     if not 0 < timeout_s <= threading.TIMEOUT_MAX:  # NaN compares false
         raise ValueError(
             f"timeout_s must be above 0 and at most "

@@ -10,23 +10,26 @@ counted, not timed.
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_model
+from helpers import TINY_LEXICON, aligned_utterance, make_model
 from simulharness import (
     Convention,
     CtcPosterior,
     DetectionResult,
+    LexiconMockModel,
     PolicyConfig,
     SimulEngine,
     adaptive_word_count,
     build_synthetic_utterance,
     ctc_greedy_collapse,
     fixed_word_count,
+    run_simultaneous,
     segment_stream,
 )
 from simulharness.detection import AdaptiveDetector
@@ -200,3 +203,34 @@ def test_detection_checks_each_end_frame_about_once(monkeypatch, detection):
         assert checked == []
     else:
         assert sum(checked) <= 2 * 400, sum(checked)
+
+
+class _FirstReadMemory(LexiconMockModel):
+    """The tiny mock, noting the traced memory at its first ``encode_more``."""
+
+    first_read_bytes: int | None = None
+
+    def encode_more(self, states, frames, start):
+        if self.first_read_bytes is None:
+            self.first_read_bytes = tracemalloc.get_traced_memory()[0]
+        return super().encode_more(states, frames, start)
+
+
+def test_nothing_the_size_of_the_stream_is_built_before_the_first_read():
+    """A run cuts each chunk as it reads it.  At the first READ of a
+    1,000-word stream, far less is allocated than the 1,000 chunk tuples
+    (about 280 KB) that cutting the whole stream first would hold."""
+    model = _FirstReadMemory(TINY_LEXICON)
+    names = sorted(model.source_word_index)
+    utterance = aligned_utterance(
+        model, [names[i % len(names)] for i in range(1000)]
+    )
+    assert utterance.n_frames == 28_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hypothesis, _ = run_simultaneous(model, utterance, PolicyConfig(k=3))
+    finally:
+        tracemalloc.stop()
+    assert hypothesis.words == tuple(utterance.reference)
+    assert model.first_read_bytes - before < 64 * 1024

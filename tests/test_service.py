@@ -907,6 +907,42 @@ def test_the_timeout_bounds_the_whole_wait_for_the_target_stream():
         stub.server_close()
 
 
+@pytest.mark.parametrize("pacing", ["fast", "realtime"])
+def test_a_session_may_wait_as_long_as_a_socket_can(server, pacing):
+    """A timeout of ``threading.TIMEOUT_MAX`` is longer than one selector
+    wait can be; the client waits it out in parts, and the session ends
+    as soon as the server does."""
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel"])
+    hyp, _ = stream_utterance(server.address, utt, PolicyConfig(k=1),
+                              pacing=pacing, timeout_s=threading.TIMEOUT_MAX)
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
+
+
+def test_a_session_works_on_a_descriptor_above_1024(server):
+    """``select`` cannot watch a descriptor numbered 1,024 or above.  With
+    1,100 descriptors already open, the session's socket is one of those,
+    and the session still returns a local run's words."""
+    resource = pytest.importorskip("resource")
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("needs a soft limit of 1,200 open files")
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel", "geht", "haus"])
+    config = PolicyConfig(k=2)
+    local, _ = run_simultaneous(model, utt, config)
+    held = []
+    try:
+        for _ in range(1100):
+            held.append(os.open(os.devnull, os.O_RDONLY))
+        remote, _ = stream_utterance(server.address, utt, config,
+                                     timeout_s=10)
+    finally:
+        for fd in held:
+            os.close(fd)
+    assert remote.words == local.words
+    assert remote.ideal_delays_ms == local.ideal_delays_ms
+
+
 _SERVE = """
 from helpers import make_model
 from simulharness import StreamTranslationServer
@@ -1151,6 +1187,21 @@ def test_a_timeout_sockets_cannot_take_is_rejected_before_connecting(
     with pytest.raises(ValueError, match="timeout_s must be above 0"):
         client_evaluate(("127.0.0.1", 9), [utt], PolicyConfig(),
                         timeout_s=timeout_s)
+
+
+def test_a_step_that_is_not_a_multiple_fails_before_connecting():
+    """The client cuts chunks as it sends them, but checks the step at the
+    call: a 285 ms step over 10 ms frames fails before any connection, so
+    a port nothing listens on is never tried."""
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead_address = probe.getsockname()
+    probe.close()
+    utt = aligned_utterance(make_model(), ["da"])
+    assert utt.frame_ms == 10
+    with pytest.raises(ValueError, match="not a multiple"):
+        stream_utterance(dead_address, utt, PolicyConfig(step_ms=285),
+                         timeout_s=5)
 
 
 def test_client_evaluate_rejects_unknown_pacing_before_any_session():

@@ -61,6 +61,7 @@ class Frame(tuple):
 
 
 _NUMBER_TYPES = frozenset({int, float})
+_BPE_SUFFIX = Convention.BPE_SUFFIX  # a global reads faster than a member
 #: a row of ``float`` values as a Frame, with no call per value
 _as_frame = partial(tuple.__new__, Frame)
 
@@ -196,7 +197,7 @@ class WordBuilder:
     __slots__ = ("_bpe", "pieces", "lag")
 
     def __init__(self, convention: Convention) -> None:
-        self._bpe = convention is Convention.BPE_SUFFIX
+        self._bpe = convention is _BPE_SUFFIX
         self.lag = 0 if self._bpe else 1
         self.pieces: list[str] = []  # the open word's, markers stripped
 

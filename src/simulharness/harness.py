@@ -367,26 +367,26 @@ def write_curve_csv(path: str | Path, points: Sequence[CurvePoint]) -> None:
 
 
 def read_curve_csv(path: str | Path) -> list[CurvePoint]:
+    """Read a curve written by :func:`write_curve_csv`; a file that is not
+    one raises ``ValueError`` naming the first line at fault."""
     with open(path, "r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CURVE_HEADER:
-            raise ValueError(
-                f"unexpected curve header {header!r}"
-            )
-        return [
-            CurvePoint(
-                strategy=DetectionKind(row[0]),
-                k=int(row[1]),
-                bleu=float(row[2]),
-                al_ms=float(row[3]),
-                laal_ms=float(row[4]),
-                al_ca_ms=float(row[5]),
-                laal_ca_ms=float(row[6]),
-            )
-            for row in reader
-            if row
-        ]
+            raise ValueError(f"line 1: unexpected curve header {header!r}")
+        points = []
+        for row in filter(None, reader):
+            try:
+                if len(row) != len(CURVE_HEADER):
+                    raise ValueError(
+                        f"{len(CURVE_HEADER)} fields expected, got {len(row)}"
+                    )
+                points.append(CurvePoint(
+                    DetectionKind(row[0]), int(row[1]), *map(float, row[2:])
+                ))
+            except ValueError as exc:
+                raise ValueError(f"line {reader.line_num}: {exc}") from None
+        return points
 
 
 def write_eval_outputs(

@@ -79,6 +79,13 @@ _MAX_WAIT_S = 86400.0  #: a day, the client's longest single selector wait
 
 _yield_cpu = getattr(os, "sched_yield", lambda: None)  # Unix only
 
+#: the payload fields of each reply kind the client reads, with their types
+_REPLY_FIELDS = {
+    KIND_WORD: {"word": str, "ideal_ms": int},
+    KIND_EOS_TGT: {"tokens": list, "convention": str, "truncated": bool},
+    KIND_ERROR: {"message": str},
+}
+
 
 class ServiceError(RuntimeError):
     """The remote side reported an error or the transport failed."""
@@ -114,6 +121,31 @@ class WireMessage:
             raise ValueError("message must carry a session id")
         return cls(kind, session, record.get("payload"),
                    record.get("t_client_ms"), record.get("t_server_ms"))
+
+
+def _reply(line: bytes) -> WireMessage:
+    """A reply line as the client reads it; ``ValueError`` names the kind
+    of a reply it cannot use."""
+    message = WireMessage.parse(line)
+    kind, payload = message.kind, message.payload
+    fields = _REPLY_FIELDS.get(kind)
+    if fields is None:
+        raise ValueError(f"unexpected {kind} reply")
+    if not isinstance(payload, dict) or any(
+            type(payload.get(name)) is not t for name, t in fields.items()):
+        types = ", ".join(f"{name} ({t.__name__})"
+                          for name, t in fields.items())
+        raise ValueError(f"malformed {kind} reply: it must carry {types}")
+    if kind == KIND_WORD and type(message.t_server_ms) is not float:
+        raise ValueError("malformed WORD reply: t_server_ms must be a float")
+    if kind == KIND_EOS_TGT:
+        if not all(type(token) is str for token in payload["tokens"]):
+            raise ValueError("malformed EOS_TGT reply: a token is no str")
+        try:
+            Convention(payload["convention"])
+        except ValueError as exc:
+            raise ValueError(f"malformed EOS_TGT reply: {exc}") from None
+    return message
 
 
 def _chunk_payload(frames: Sequence[Frame]) -> dict:
@@ -379,9 +411,9 @@ def stream_utterance(
                         raise ServiceError("connection closed before EOS_TGT")
                     *lines, pending = (pending + data).split(b"\n")
                     for line in lines:
-                        message = WireMessage.parse(line + b"\n")  # as sent
+                        message = _reply(line + b"\n")  # as sent
                         if message.kind == KIND_ERROR:
-                            detail = (message.payload or {}).get("message")
+                            detail = message.payload["message"]
                             raise ServiceError(f"remote error: {detail}")
                         received.append((message, arrival))
                         if message.kind == KIND_EOS_TGT:
@@ -421,10 +453,10 @@ def stream_utterance(
         tokens=tuple(SubwordToken(surface, convention)
                      for surface in final.payload["tokens"]),
         words=tuple(m.payload["word"] for m in replies),
-        ideal_delays_ms=tuple(int(m.payload["ideal_ms"]) for m in replies),
-        wall_delays_ms=(tuple(float(m.t_server_ms) for m in replies)
+        ideal_delays_ms=tuple(m.payload["ideal_ms"] for m in replies),
+        wall_delays_ms=(tuple(m.t_server_ms for m in replies)
                         if pacing == "fast" else tuple(arrivals)),
-        truncated=bool(final.payload.get("truncated", False)),
+        truncated=final.payload["truncated"],
     )
     return hypothesis, arrivals
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import re
 from dataclasses import replace
 from operator import lt
 
@@ -673,6 +674,37 @@ def test_read_curve_csv_rejects_foreign_headers(tmp_path):
     path = tmp_path / "curve.csv"
     path.write_text("a,b,c\n1,2,3\n", encoding="utf-8")
     with pytest.raises(ValueError, match="unexpected curve header"):
+        read_curve_csv(path)
+
+
+_CURVE_HEADER_LINE = "strategy,k,bleu,AL_ms,LAAL_ms,AL_CA_ms,LAAL_CA_ms\n"
+_CURVE_ROW = "fixed,3,38.5,840.0,843.5,900.0,910.0\n"
+
+
+@pytest.mark.parametrize(
+    "text, complaint",
+    [
+        ("", "line 1: unexpected curve header ()"),
+        (_CURVE_HEADER_LINE + _CURVE_ROW + "adaptive,5,66.0\n",
+         "line 3: 7 fields expected, got 3"),
+        (_CURVE_HEADER_LINE + "\n" + _CURVE_ROW + _CURVE_ROW + ",x\n",
+         "line 5: 7 fields expected, got 2"),
+        (_CURVE_HEADER_LINE + _CURVE_ROW.rstrip() + ",1.0\n",
+         "line 2: 7 fields expected, got 8"),
+        (_CURVE_HEADER_LINE + _CURVE_ROW.replace("fixed", "eager"),
+         "line 2: 'eager' is not a valid DetectionKind"),
+        (_CURVE_HEADER_LINE + _CURVE_ROW.replace(",3,", ",3.5,"),
+         "line 2: invalid literal for int"),
+        (_CURVE_HEADER_LINE + _CURVE_ROW.replace("38.5", "n/a"),
+         "line 2: could not convert string to float"),
+    ],
+)
+def test_read_curve_csv_names_the_line_of_a_broken_file(
+    tmp_path, text, complaint
+):
+    path = tmp_path / "curve.csv"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(complaint)):
         read_curve_csv(path)
 
 

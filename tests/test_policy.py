@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -62,11 +64,44 @@ def test_policy_config_coerces_strings_and_validates():
         ("force_finish", "no"), ("force_finish", 1),
         ("avoid_eos_while_reading", 0),
         ("detection", 5), ("detection", None), ("source_convention", 3),
+        # only the settings that default to None take it
+        ("k", None), ("step_ms", None), ("avg_word_ms", None),
+        ("force_finish", None), ("source_convention", None),
     ],
 )
 def test_policy_config_rejects_settings_of_the_wrong_type(field, value):
     with pytest.raises(ValueError, match=f"{field} must be"):
         PolicyConfig(**{field: value})
+
+
+def test_policy_config_takes_none_for_the_settings_that_default_to_it():
+    config = PolicyConfig(avoid_eos_while_reading=None, max_target_words=None)
+    assert config == PolicyConfig()
+
+
+@pytest.mark.parametrize("detection", ["fixed", "adaptive"])
+@pytest.mark.parametrize("cap", [None, 5])
+def test_for_utterance_is_replace_with_the_cap_resolved(detection, cap):
+    """The copy equals ``dataclasses.replace`` in value and in hash; an
+    explicit cap is kept, and no cap resolves to the utterance's default."""
+    utt = aligned_utterance(make_model(), ["da", "esel", "geht"])
+    config = PolicyConfig(k=2, detection=detection, max_target_words=cap)
+    default_cap = core_module.default_max_target_words(utt)
+    expected = dataclasses.replace(
+        config, max_target_words=cap or default_cap
+    )
+    copy = config.for_utterance(utt)
+    assert copy == expected
+    assert hash(copy) == hash(expected)
+    assert copy.max_target_words == (cap or 2 * 3 + 16)
+
+
+def test_for_utterance_keeps_the_members_strings_were_coerced_to():
+    utt = aligned_utterance(make_model(), ["da"])
+    copy = PolicyConfig(detection="adaptive", source_convention="sp") \
+        .for_utterance(utt)
+    assert copy.detection is DetectionKind.ADAPTIVE
+    assert copy.source_convention is Convention.SP_PREFIX
 
 
 def test_policy_config_avoid_eos_resolution():
@@ -450,6 +485,34 @@ def test_event_log_structure_and_round_trip(tmp_path):
     path = tmp_path / "run.jsonl"
     write_event_log(path, events)
     assert read_event_log(path) == list(events)
+
+
+@pytest.mark.parametrize(
+    "line, complaint",
+    [
+        ('{"kind": "READ", "ideal_ms": 280, "wall_ms": 280.5}',
+         "line 2: no 'payload' field"),
+        ('{"kind": "SKIP", "payload": null, "ideal_ms": 0, "wall_ms": 0.0}',
+         "line 2: 'SKIP' is not a valid ActionKind"),
+        ('{"kind": "READ", "payload": null, "ideal_ms": null, "wall_ms": 0}',
+         "line 2: int.. argument must be"),
+        ('[1, 2]', "line 2: a record must be a JSON object"),
+        ('{"kind": ', "line 2: Expecting value"),
+        ('[' * 100_000, "line 2: nested too deeply"),
+    ],
+)
+def test_read_event_log_names_the_line_of_a_broken_record(
+    tmp_path, line, complaint
+):
+    model = make_model()
+    utt = aligned_utterance(model, ["da"])
+    _hyp, events = run_simultaneous(model, utt, PolicyConfig(k=1))
+    path = tmp_path / "run.jsonl"
+    write_event_log(path, events[:1])
+    with path.open("a", encoding="utf-8") as handle:
+        handle.write(line + "\n")
+    with pytest.raises(ValueError, match=complaint):
+        read_event_log(path)
 
 
 def test_engine_rejects_misuse():

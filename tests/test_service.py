@@ -5,6 +5,7 @@ import contextlib
 import json
 import logging
 import os
+import re
 import socket
 import socketserver
 import struct
@@ -1082,7 +1083,161 @@ def test_client_evaluate_records_a_malformed_reply_per_utterance():
         stub.server_close()
     assert corpus.failures == ("u0", "u1", "u2")
     assert all(r.hypothesis is None for r in corpus.results)
+    assert all(r.error.startswith("malformed WORD reply")
+               for r in corpus.results)
     assert corpus.report.n_utts == 0
+
+
+class _ScriptedHandler(socketserver.StreamRequestHandler):
+    """A fake server: reads HELLO, sends the lines of the first of its
+    server's ``scripts`` as they are and drops that script, then closes its
+    side and lets the client finish sending."""
+
+    def handle(self):
+        self.rfile.readline()
+        replies = self.server.scripts.pop(0)
+        try:
+            self.wfile.write(b"".join(line + b"\n" for line in replies))
+            self.connection.shutdown(socket.SHUT_WR)
+            for _ in self.rfile:
+                pass
+        except OSError:
+            pass  # the client gave up and closed
+
+
+@pytest.fixture(scope="module")
+def scripted_server():
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _ScriptedHandler)
+    stub.daemon_threads = True
+    stub.scripts = []
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        yield stub
+    finally:
+        stub.shutdown()
+        stub.server_close()
+
+
+def _reply(kind, payload, t_server_ms=None) -> bytes:
+    return WireMessage(kind, "s1", payload, t_server_ms=t_server_ms) \
+        .to_line().rstrip(b"\n")
+
+
+_EOS = {"tokens": ["da"], "convention": "bpe", "truncated": False}
+
+
+@pytest.mark.parametrize(
+    "replies, complaint",
+    [
+        ([_reply("ERROR", [1])], "malformed ERROR reply"),
+        ([_reply("ERROR", None)], "malformed ERROR reply"),
+        ([_reply("EOS_TGT", {**_EOS, "convention": "nope"})],
+         "malformed EOS_TGT reply: 'nope' is not a valid Convention"),
+        ([_reply("EOS_TGT", None)], "malformed EOS_TGT reply"),
+        ([_reply("EOS_TGT", {**_EOS, "tokens": ["da", 3]})],
+         "malformed EOS_TGT reply: a token is no str"),
+        ([_reply("EOS_TGT", {**_EOS, "truncated": 0})],
+         "malformed EOS_TGT reply"),
+        ([_reply("WORD", {"ideal_ms": 280}, 281.0), _reply("EOS_TGT", _EOS)],
+         "malformed WORD reply"),
+        ([_reply("WORD", {"word": "da"}, 281.0), _reply("EOS_TGT", _EOS)],
+         "malformed WORD reply"),
+        ([_reply("WORD", {"word": "da", "ideal_ms": 280.0}, 281.0)],
+         "malformed WORD reply"),
+        ([_reply("WORD", {"word": "da", "ideal_ms": 280}, None)],
+         "malformed WORD reply: t_server_ms must be a float"),
+        ([_reply("HELLO", None)], "unexpected HELLO reply"),
+        ([b"{}"], "unknown kind None"),
+        ([b"\xff"], "invalid start byte"),
+    ],
+)
+@pytest.mark.parametrize("pacing", ["fast", "realtime"])
+def test_a_malformed_reply_is_a_service_error(
+    scripted_server, replies, complaint, pacing
+):
+    scripted_server.scripts = [replies]
+    utt = aligned_utterance(make_model(), ["da"])
+    with pytest.raises(ServiceError, match=re.escape(complaint)):
+        stream_utterance(scripted_server.server_address, utt,
+                         PolicyConfig(k=1), pacing=pacing, timeout_s=10)
+
+
+def test_client_evaluate_records_a_malformed_reply_and_scores_the_rest(
+    scripted_server
+):
+    model = make_model()
+    utts = [aligned_utterance(model, ["da"], utt_id=f"u{i}") for i in range(3)]
+    good = [_reply("WORD", {"word": "da", "ideal_ms": 280}, 281.5),
+            _reply("EOS_TGT", _EOS)]
+    scripted_server.scripts = [good, [_reply("ERROR", [1])], good]
+    corpus = client_evaluate(
+        scripted_server.server_address, utts, PolicyConfig(k=1), timeout_s=10
+    )
+    assert corpus.failures == ("u1",)
+    assert corpus.results[1].error.startswith("malformed ERROR reply")
+    assert corpus.report.n_utts == 2
+    assert corpus.results[0].hypothesis.wall_delays_ms == (281.5,)
+
+
+#: what a reply's payload may carry: the fields each kind needs, of the right
+#: type or of any JSON type
+_REPLY_PAYLOAD = st.fixed_dictionaries({}, optional={
+    "word": st.text(max_size=4) | _JSON,
+    "ideal_ms": st.integers(0, 10**6) | _JSON,
+    "tokens": st.lists(st.text(max_size=4), max_size=3) | _JSON,
+    "convention": st.sampled_from(["bpe", "sp"]) | _JSON,
+    "truncated": st.booleans() | _JSON,
+    "message": st.text(max_size=6) | _JSON,
+})
+#: replies a client can use
+_GOOD_REPLY = st.one_of(
+    st.builds(
+        lambda word, ideal_ms, wall_ms: _reply(
+            "WORD", {"word": word, "ideal_ms": ideal_ms}, wall_ms
+        ),
+        st.text(max_size=4), st.integers(0, 10**6), st.floats(),
+    ),
+    st.builds(
+        lambda tokens, convention, truncated: _reply("EOS_TGT", {
+            "tokens": tokens, "convention": convention,
+            "truncated": truncated,
+        }),
+        st.lists(st.text(max_size=4), max_size=3),
+        st.sampled_from(["bpe", "sp"]), st.booleans(),
+    ),
+)
+_REPLY_LINE = st.one_of(
+    _GOOD_REPLY,
+    st.binary().map(lambda data: data.replace(b"\n", b" ")),
+    _JSON.map(lambda value: json.dumps(value).encode("utf-8")),
+    st.fixed_dictionaries({
+        "kind": st.sampled_from(sorted(VALID_KINDS)),
+        "session": st.just("s1") | _JSON,
+        "payload": _REPLY_PAYLOAD | _JSON,
+        "t_server_ms": st.floats() | _JSON,
+    }).map(lambda record: json.dumps(record).encode("utf-8")),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(replies=st.lists(_REPLY_LINE, max_size=4),
+       pacing=st.sampled_from(["fast", "realtime"]))
+def test_a_fuzzed_reply_stream_gives_a_hypothesis_or_a_service_error(
+    scripted_server, replies, pacing
+):
+    """Whatever lines a server answers HELLO with before it closes, the
+    client returns a hypothesis or raises ``ServiceError``, nothing else."""
+    scripted_server.scripts = [replies]
+    utt = aligned_utterance(make_model(), ["da", "esel"])
+    try:
+        hypothesis, arrivals = stream_utterance(
+            scripted_server.server_address, utt, PolicyConfig(k=1),
+            pacing=pacing, timeout_s=2,
+        )
+    except ServiceError:
+        return
+    assert isinstance(hypothesis, simulharness.Hypothesis)
+    assert len(arrivals) == len(hypothesis.words)
 
 
 class _HangUpAfterHelloHandler(socketserver.StreamRequestHandler):

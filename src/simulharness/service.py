@@ -1,16 +1,19 @@
 """Line-delimited JSON streaming protocol over TCP.
 
-One translation session per connection.  The client opens with HELLO (the
-policy settings, its word cap resolved for the utterance, and the frame
-duration), streams CHUNK messages of feature frames, and closes the source
-with EOS_SRC.  The session id names the utterance.  The server
-interleaves WORD messages exactly when the in-process engine would emit them
--- both sides drive the same :class:`~simulharness.policy.SimulEngine` through
-its ``run`` loop -- and ends the target stream with EOS_TGT.  A session that
-fails ends in one place, with one ERROR message (``protocol: …``,
-``config: …`` or ``model: …``) and a close.  A client that stops sending
-before EOS_SRC, or sends nothing for :attr:`_SessionHandler.timeout`
-seconds, gets one too; a connection that closes without a word gets none.
+One translation session per connection, each on a daemon worker thread that
+a finished session left waiting; past :data:`_MAX_SESSIONS` sessions at
+once, a connection gets one ``protocol: server busy …`` ERROR and a close.
+The client opens with HELLO (the policy settings, its word cap resolved for
+the utterance, and the frame duration), streams CHUNK messages of feature
+frames, and closes the source with EOS_SRC.  The session id names the
+utterance.  The server interleaves WORD messages exactly when the in-process
+engine would emit them -- both sides drive the same
+:class:`~simulharness.policy.SimulEngine` through its ``run`` loop -- and
+ends the target stream with EOS_TGT.  A session that fails ends in one
+place, with one ERROR message (``protocol: …``, ``config: …`` or
+``model: …``) and a close.  A client that stops sending before EOS_SRC, or
+sends nothing for :attr:`_SessionHandler.timeout` seconds, gets one too; a
+connection that closes without a word gets none.
 
 Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms``; only a WORD's
@@ -32,9 +35,11 @@ yields the CPU before each send until the first reply.
 from __future__ import annotations
 
 import base64
+import contextlib
 import json
 import logging
 import os
+import queue
 import selectors
 import socket
 import socketserver
@@ -76,6 +81,7 @@ _HELLO_FIELDS = frozenset({"config", "frame_ms"})
 _POLL_S = 0.05
 
 _MAX_WAIT_S = 86400.0  #: a day, the client's longest single selector wait
+_MAX_SESSIONS = 64  #: a server's sessions at once; one more gets an ERROR
 
 _yield_cpu = getattr(os, "sched_yield", lambda: None)  # Unix only
 
@@ -298,15 +304,54 @@ class _SessionHandler(socketserver.StreamRequestHandler):
         self.wfile.flush()
 
 
-class _ThreadedTCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
+class _ThreadedTCPServer(socketserver.TCPServer):
     allow_reuse_address = True
+
+    def __init__(self, *args) -> None:
+        # set before binding: a failed bind calls server_close
+        self._lock, self._connections = threading.Lock(), queue.SimpleQueue()
+        self._workers = self._busy = 0  # busy: sessions queued or running
+        super().__init__(*args)
+
+    def process_request(self, request, client_address) -> None:
+        with self._lock:
+            busy = self._busy
+            if busy < _MAX_SESSIONS:
+                if busy == self._workers:  # none is idle
+                    threading.Thread(target=self._work, daemon=True).start()
+                    self._workers += 1
+                self._busy += 1
+                self._connections.put((request, client_address))
+                return
+        logger.warning("%s refused: %d sessions running", client_address, busy)
+        reply = {"message": f"protocol: server busy with {busy} sessions"}
+        with contextlib.suppress(OSError):
+            request.sendall(WireMessage(KIND_ERROR, "?", reply).to_line())
+        self.shutdown_request(request)
+
+    def _work(self) -> None:
+        for request, client_address in iter(self._connections.get, None):
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                with self._lock:  # free before the close a client may see
+                    self._busy -= 1
+                self.shutdown_request(request)
+
+    def server_close(self) -> None:
+        super().server_close()
+        for _ in range(self._workers):  # each idle worker takes one and exits
+            self._connections.put(None)
 
 
 class StreamTranslationServer:
-    """Threaded TCP server hosting one engine per connection.
+    """TCP server hosting one engine per connection.
 
-    Every session runs on the given model, which must therefore keep no
+    Each session runs on a daemon worker that an earlier session left idle;
+    past :data:`_MAX_SESSIONS` at once, a connection gets one ERROR.  Every
+    session runs on the given model, which must therefore keep no
     per-utterance state of its own (the engine holds it).
     """
 
@@ -319,7 +364,7 @@ class StreamTranslationServer:
     ) -> None:
         self._server = _ThreadedTCPServer((host, port), _SessionHandler)
         self._server.model = model
-        self._thread: threading.Thread | None = None
+        self._serving = False  # shutdown waits for a serve loop that ran
 
     @property
     def address(self) -> tuple[str, int]:
@@ -327,24 +372,24 @@ class StreamTranslationServer:
         return host, port
 
     def start(self) -> "StreamTranslationServer":
-        self._thread = threading.Thread(
+        self._serving = True
+        threading.Thread(
             target=self._server.serve_forever, args=(_POLL_S,), daemon=True
-        )
-        self._thread.start()
+        ).start()
         return self
 
     def serve_forever(self) -> None:
         """Serve in the calling thread until interrupted."""
+        self._serving = True
         try:
             self._server.serve_forever(_POLL_S)
         finally:
             self._server.server_close()
 
     def shutdown(self) -> None:
-        self._server.shutdown()
+        if self._serving:
+            self._server.shutdown()
         self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
 
     def __enter__(self) -> "StreamTranslationServer":
         return self.start()

@@ -782,6 +782,156 @@ def test_concurrent_sessions_stay_isolated(server):
 
 
 # ---------------------------------------------------------------------------
+# Session workers and the session cap
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture()
+def workers(monkeypatch):
+    """The thread each session's handler runs on, in session order."""
+    seen: list[threading.Thread] = []
+    handle = _SessionHandler.handle
+
+    def recording(handler):
+        seen.append(threading.current_thread())
+        handle(handler)
+
+    monkeypatch.setattr(_SessionHandler, "handle", recording)
+    return seen
+
+
+def _read_to_the_close(sock) -> list[WireMessage]:
+    return [WireMessage.parse(raw) for raw in sock.makefile("rb")]
+
+
+def test_sequential_sessions_run_on_one_worker(server, workers, monkeypatch):
+    # a client that has read EOS_TGT may connect again while the server is
+    # still closing the session it ended: each next session waits for that
+    closed = threading.Semaphore(0)
+    close = simulharness.service._ThreadedTCPServer.shutdown_request
+
+    def counting(self, request):
+        close(self, request)
+        closed.release()
+
+    monkeypatch.setattr(
+        simulharness.service._ThreadedTCPServer, "shutdown_request", counting
+    )
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel"])
+    for _ in range(10):
+        hyp, _ = stream_utterance(
+            server.address, utt, PolicyConfig(k=1), timeout_s=10
+        )
+        assert list(hyp.words) == model.translate_words(["da", "esel"])
+        assert closed.acquire(timeout=5)
+    assert len(workers) == 10
+    assert len(set(workers)) == 1
+
+
+@pytest.mark.parametrize("ending", ["model", "idle", "protocol"])
+def test_the_session_after_a_failed_one_runs_on_its_worker(
+    server, workers, monkeypatch, ending
+):
+    monkeypatch.setattr(_SessionHandler, "timeout", 0.3)
+    lines = {
+        "model": [_hello(), _msg("CHUNK", payload=_block([[0.0] * 3] * 28))],
+        "idle": [_hello()],
+        "protocol": [_hello(), _msg("CHUNK")],
+    }[ending]
+    with socket.create_connection(server.address, timeout=10) as sock:
+        for record in lines:
+            sock.sendall((json.dumps(record) + "\n").encode("utf-8"))
+        if ending != "idle":
+            sock.shutdown(socket.SHUT_WR)
+        # the server closes the connection once its worker is free
+        replies = _read_to_the_close(sock)
+    assert [m.kind for m in replies] == ["ERROR"]
+    assert replies[0].payload["message"].startswith(
+        {"model": "model: ", "idle": "protocol: idle for 0.3 s",
+         "protocol": "protocol: CHUNK carries no frames"}[ending]
+    )
+    model = make_model()
+    hyp, _ = stream_utterance(
+        server.address, aligned_utterance(model, ["da", "esel"]),
+        PolicyConfig(k=1), timeout_s=10,
+    )
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
+    assert workers == [workers[0]] * 2
+
+
+def test_workers_wait_for_sessions_and_exit_with_the_server(workers):
+    """Three sessions at once take three workers.  Once they end, each
+    worker waits for the next session; leaving the server block ends them."""
+    hello = (json.dumps(_hello()) + "\n").encode("utf-8")
+    with StreamTranslationServer(make_model()) as handle:
+        socks = [socket.create_connection(handle.address, timeout=10)
+                 for _ in range(3)]
+        try:
+            for sock in socks:
+                sock.sendall(hello)
+            deadline = time.monotonic() + 5
+            while len(workers) < 3:  # every session has started
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+            for sock in socks:
+                sock.shutdown(socket.SHUT_WR)
+                assert [m.kind for m in _read_to_the_close(sock)] == ["ERROR"]
+        finally:
+            for sock in socks:
+                sock.close()
+        assert len(set(workers)) == 3
+        for worker in workers:
+            worker.join(timeout=0.05)
+            assert worker.is_alive()
+    deadline = time.monotonic() + 1
+    for worker in workers:
+        worker.join(timeout=max(0.0, deadline - time.monotonic()))
+        assert not worker.is_alive()
+
+
+def test_a_connection_past_the_session_cap_gets_one_error(
+    server, monkeypatch
+):
+    monkeypatch.setattr(simulharness.service, "_MAX_SESSIONS", 1)
+    with socket.create_connection(server.address, timeout=10) as held:
+        held.sendall((json.dumps(_hello(k=1)) + "\n").encode("utf-8"))
+        refused = _exchange(server.address, [])
+        assert [m.kind for m in refused] == ["ERROR"]
+        assert refused[0].payload == {
+            "message": "protocol: server busy with 1 sessions"
+        }
+        held.shutdown(socket.SHUT_WR)
+        assert [m.payload for m in _read_to_the_close(held)] == [
+            {"message": "protocol: connection closed before EOS_SRC"}
+        ]
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel", "geht"])
+    local, _ = run_simultaneous(model, utt, PolicyConfig(k=1))
+    remote, _ = stream_utterance(
+        server.address, utt, PolicyConfig(k=1), timeout_s=10
+    )
+    assert remote.words == local.words
+    assert remote.ideal_delays_ms == local.ideal_delays_ms
+
+
+def test_shutting_down_a_server_that_never_served_returns_at_once():
+    handle = StreamTranslationServer(make_model())
+    port = handle.address[1]
+    stopper = threading.Thread(target=handle.shutdown, daemon=True)
+    stopper.start()
+    stopper.join(timeout=1)
+    assert not stopper.is_alive()
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", port))  # the port is free again
+
+
+def test_a_port_in_use_is_an_os_error(server):
+    with pytest.raises(OSError):
+        StreamTranslationServer(make_model(), port=server.address[1])
+
+
+# ---------------------------------------------------------------------------
 # Fuzzing
 # ---------------------------------------------------------------------------
 

@@ -307,14 +307,14 @@ def _chunks(utterance: Utterance, step_ms: int) -> Iterator[tuple[Frame, ...]]:
     """The chunks of :func:`segment_stream`, each cut as it is taken."""
     if step_ms <= 0:
         raise ValueError("step_ms must be positive")
-    frames = utterance.frames
-    if not frames:
-        return iter(())
     if step_ms % utterance.frame_ms:
         raise ValueError(
             f"step_ms={step_ms} is not a multiple of the "
             f"{utterance.frame_ms} ms frame duration"
         )
+    frames = utterance.frames
+    if not frames:
+        return iter(())
     per_chunk = step_ms // utterance.frame_ms
     return (frames[i : i + per_chunk] for i in range(0, len(frames), per_chunk))
 

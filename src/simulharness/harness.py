@@ -7,7 +7,6 @@ Local, remote and offline runs are all scored by one loop,
 from __future__ import annotations
 
 import csv
-import gc
 import logging
 import time
 from dataclasses import dataclass, field, replace
@@ -209,14 +208,14 @@ class _SharedEncoder:
     the trie node as its encoder states, so a hit needs the whole path to
     match -- never just the model's own states object, which a model may
     return for more than one prefix.  The model must not change a node's
-    states or posterior once it returned them.  A read of a node is
-    charged the compute its encode took, never the lookup; a failed encode
-    stores nothing, so every point that needs it fails on its own.  The
-    first adaptive point to read a node counts its words (a sweep has one
-    source convention); a later point gets the count and queues the rows.
-    Its detector takes them, in order, only if that point reads past every
-    count.  One engine reads at a time, so the queue holds the rows of the
-    last detector to skip any.
+    states or posterior once it returned them.  A read of a node is charged
+    what its encode took in the engine's step, which holds the collector
+    off, never the lookup; a failed encode stores nothing, so every point
+    that needs it fails on its own.  The first adaptive point to read a node
+    counts its words (a sweep has one source convention); a later point gets
+    the count and queues the rows.  Its detector takes them, in order, only
+    if that point reads past every count.  One engine reads at a time, so
+    the queue holds the rows of the last detector to skip any.
     """
 
     def __init__(self, model: ModelInterface) -> None:
@@ -236,18 +235,9 @@ class _SharedEncoder:
         key = tuple(map(id, frames[start:]))
         node = parent.children.get(key)
         if node is None:
-            # The memo keeps what the model allocates, so the cyclic
-            # collector would run inside timed encodes, and its pauses
-            # would be charged to every point: hold it off until after.
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                begin = time.perf_counter()
-                encoded = self._model.encode_more(parent.states, frames, start)
-                ms = (time.perf_counter() - begin) * 1000.0
-            finally:
-                if collecting:
-                    gc.enable()
+            begin = time.perf_counter()
+            encoded = self._model.encode_more(parent.states, frames, start)
+            ms = (time.perf_counter() - begin) * 1000.0
             node = parent.children[key] = _Prefix(*encoded, ms)
         if detector is None:
             return node, None, node.ms

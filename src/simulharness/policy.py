@@ -37,6 +37,7 @@ wait-∞.
 
 from __future__ import annotations
 
+import gc
 import json
 import logging
 from time import perf_counter
@@ -295,10 +296,17 @@ class SimulEngine:
         yield self._step(self.finish_source)
 
     def _step(self, action, *args) -> list[Event]:
+        # a collection inside a timed model call would count as compute: hold
+        # the process-wide collector off (a concurrent step may re-enable it)
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             return action(*args)
         except Exception as exc:
             raise SimulRunError(str(exc), events=self._events) from exc
+        finally:
+            if collecting:
+                gc.enable()
 
     def push_chunk(self, frames: Sequence[Frame]) -> list[Event]:
         """READ one chunk of frames, then WRITE whatever became due.

@@ -297,7 +297,11 @@ def test_segment_stream_validates_step():
         segment_stream(utt, 0)
     with pytest.raises(ValueError, match="not a multiple"):
         segment_stream(utt, 15)
-    assert segment_stream(Utterance(id="e", frames=()), 15) == []
+    # a source with no frames has no chunk; its step is checked all the same
+    empty = Utterance(id="e", frames=())
+    with pytest.raises(ValueError, match="not a multiple"):
+        segment_stream(empty, 15)
+    assert segment_stream(empty, 10) == []
 
 
 # ---------------------------------------------------------------------------

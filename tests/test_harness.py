@@ -26,7 +26,9 @@ from simulharness import (
     MetricsReport,
     ModelInterface,
     PolicyConfig,
+    ServiceError,
     SimulRunError,
+    StreamTranslationServer,
     SweepSpec,
     Utterance,
     aggregate_metrics,
@@ -37,6 +39,7 @@ from simulharness import (
     run_simultaneous,
     score_corpus,
     segment_stream,
+    stream_utterance,
     sweep,
     write_curve_csv,
     write_eval_outputs,
@@ -501,6 +504,67 @@ def test_a_shared_encode_holds_off_the_collector_and_restores_it():
     gc.disable()
     try:
         sweep(utts, model, spec)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+
+
+class _CollectorRecorder(DecoderFailsOnHaus):
+    """Records whether the cyclic collector was on in each model call; the
+    decoder raises once it has heard "haus"."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.collecting = []
+
+    def encode_more(self, states, frames, start):
+        self.collecting.append(gc.isenabled())
+        return super().encode_more(states, frames, start)
+
+    def decoder_step(self, states, target_prefix_ids):
+        self.collecting.append(gc.isenabled())
+        return super().decoder_step(states, target_prefix_ids)
+
+
+def _evaluate(model, good, bad):
+    result = evaluate_corpus([good, bad], model, PolicyConfig(k=1))
+    assert result.failures == ("bad",)
+
+
+def _offline(model, good, bad):
+    offline_greedy_translate(model, good)
+    with pytest.raises(SimulRunError, match="decoder table"):
+        offline_greedy_translate(model, bad)
+
+
+def _remote(model, good, bad):
+    with StreamTranslationServer(model) as server:
+        stream_utterance(server.address, good, PolicyConfig(k=1), timeout_s=10)
+        with pytest.raises(ServiceError, match="decoder table"):
+            stream_utterance(
+                server.address, bad, PolicyConfig(k=1), timeout_s=10
+            )
+
+
+@pytest.mark.parametrize(
+    "path", [_evaluate, _offline, _remote],
+    ids=["evaluate_corpus", "offline", "remote"],
+)
+def test_every_path_charges_model_calls_with_the_collector_off(path):
+    """The engine holds the collector off for each step, so no collection
+    is charged as model compute on any path that drives it.  The caller's
+    setting comes back after every step, a failed one too, and a server
+    session restores it before its last reply."""
+    model = _CollectorRecorder()
+    good = aligned_utterance(model, ["da", "esel"], utt_id="good")
+    bad = aligned_utterance(model, ["ja", "haus"], utt_id="bad")
+    assert gc.isenabled()
+    path(model, good, bad)
+    assert model.collecting and not any(model.collecting)
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        path(model, good, bad)
         assert not gc.isenabled()
     finally:
         gc.enable()

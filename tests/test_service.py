@@ -34,6 +34,7 @@ from simulharness import (
     ServiceError,
     SimulEngine,
     StreamTranslationServer,
+    Utterance,
     WireMessage,
     average_lagging,
     client_evaluate,
@@ -829,6 +830,35 @@ def test_sequential_sessions_run_on_one_worker(server, workers, monkeypatch):
     assert len(set(workers)) == 1
 
 
+def test_a_handler_that_raises_frees_its_worker_for_the_next_session(
+    server, monkeypatch, capsys
+):
+    """An exception out of a session's handler is the server's to report:
+    that client sees its connection end, and the worker serves the next."""
+    seen: list[threading.Thread] = []
+    handle = _SessionHandler.handle
+
+    def failing_once(handler):
+        seen.append(threading.current_thread())
+        if len(seen) == 1:
+            raise RuntimeError("handler bug")
+        handle(handler)
+
+    monkeypatch.setattr(_SessionHandler, "handle", failing_once)
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel", "geht"])
+    with pytest.raises(ServiceError):
+        stream_utterance(server.address, utt, PolicyConfig(k=1), timeout_s=10)
+    assert "RuntimeError: handler bug" in capsys.readouterr().err
+    local, _ = run_simultaneous(model, utt, PolicyConfig(k=1))
+    remote, _ = stream_utterance(
+        server.address, utt, PolicyConfig(k=1), timeout_s=10
+    )
+    assert remote.words == local.words
+    assert remote.ideal_delays_ms == local.ideal_delays_ms
+    assert seen == [seen[0]] * 2
+
+
 @pytest.mark.parametrize("ending", ["model", "idle", "protocol"])
 def test_the_session_after_a_failed_one_runs_on_its_worker(
     server, workers, monkeypatch, ending
@@ -1507,6 +1537,21 @@ def test_a_step_that_is_not_a_multiple_fails_before_connecting():
     with pytest.raises(ValueError, match="not a multiple"):
         stream_utterance(dead_address, utt, PolicyConfig(step_ms=285),
                          timeout_s=5)
+
+
+def test_an_empty_source_checks_the_step_before_connecting():
+    """A source with no frames has no chunk to cut, but its step is checked
+    all the same: both calls fail at once, and no connection is made."""
+    utt = Utterance("empty", (), frame_ms=10, reference=("x",))
+    with pytest.raises(ValueError, match="not a multiple"):
+        segment_stream(utt, 285)
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        with pytest.raises(ValueError, match="not a multiple"):
+            stream_utterance(listener.getsockname(), utt,
+                             PolicyConfig(step_ms=285), timeout_s=1)
+        listener.setblocking(False)
+        with pytest.raises(BlockingIOError):
+            listener.accept()
 
 
 def test_client_evaluate_rejects_unknown_pacing_before_any_session():

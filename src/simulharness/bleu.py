@@ -26,16 +26,17 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
+from contextlib import contextmanager
+from contextvars import ContextVar
 from itertools import chain
 from typing import Sequence
 
 MAX_NGRAM_ORDER = 4
 
 _LOG_FLOOR = -9999999999.0
-
-
-def _floored_log(value: float) -> float:
-    return _LOG_FLOOR if value == 0.0 else math.log(value)
+#: the open :func:`shared_references` block's memo: each reference line's
+#: 13a length and n-gram counts
+_references: ContextVar[dict] = ContextVar("references")
 
 
 #: the ``13a`` symbol, period/comma and dash rules, in the order applied.
@@ -80,6 +81,16 @@ def _ngram_counts(tokens: Sequence[str]) -> Counter:
     ))
 
 
+@contextmanager
+def shared_references():
+    """Tokenize and count each reference once in the block's BLEU calls."""
+    token = _references.set({})
+    try:
+        yield
+    finally:
+        _references.reset(token)
+
+
 def corpus_bleu(
     hypotheses: Sequence[Sequence[str]],
     references: Sequence[Sequence[str]],
@@ -101,12 +112,15 @@ def corpus_bleu(
     total = [0] * MAX_NGRAM_ORDER
     sys_len = 0
     ref_len = 0
+    memo = _references.get({})
     for hyp_words, ref_words in zip(hypotheses, references):
         hyp = tokenize_13a(" ".join(hyp_words))
-        ref = tokenize_13a(" ".join(ref_words))
+        if (line := " ".join(ref_words)) not in memo:
+            ref = tokenize_13a(line)
+            memo[line] = len(ref), _ngram_counts(ref)
+        length, ref_counts = memo[line]
         sys_len += len(hyp)
-        ref_len += len(ref)
-        ref_counts = _ngram_counts(ref)
+        ref_len += length
         for ngram, count in _ngram_counts(hyp).items():
             order = len(ngram)
             total[order - 1] += count
@@ -130,5 +144,6 @@ def corpus_bleu(
     else:
         brevity_penalty = 1.0
 
-    mean_log = sum(_floored_log(p) for p in precisions) / MAX_NGRAM_ORDER
+    mean_log = sum(math.log(p) if p else _LOG_FLOOR
+                   for p in precisions) / MAX_NGRAM_ORDER
     return brevity_penalty * math.exp(mean_log)

@@ -159,6 +159,12 @@ class Hypothesis:
         ):
             raise ValueError("one delay pair is required per emitted word")
 
+    @classmethod
+    def _trusted(cls, **fields) -> Hypothesis:
+        """Every field as given: tuples of the declared types, one length."""
+        vars(hypothesis := object.__new__(cls)).update(fields)
+        return hypothesis
+
 
 def check_frame_ms(frame_ms: object) -> int:
     """``frame_ms`` if it is a positive ``int`` (a ``bool`` is not one)."""

@@ -16,6 +16,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .bleu import shared_references
 from .core import Frame, Hypothesis, Utterance, _is_file_name
 from .detection import AdaptiveDetector, CtcPosterior, DetectionKind
 from .metrics import DelaySequence, MetricsReport, aggregate_metrics
@@ -289,25 +290,27 @@ def sweep(
     corpus until its last point.  For a model whose states or posterior
     cover the whole prefix, as with the default ``encode_more``, that is
     quadratic in utterance length.  One repeat's encodings are alive at a
-    time, and nothing outlives the call.
+    time, and nothing outlives the call.  A call scores each reference once:
+    the first point to score it tokenizes and counts it for BLEU.
     """
     utterances = list(utterances)
     per_run: list[list[CurvePoint]] = []
-    for _ in range(spec.runs_per_point):
-        shared = _SharedEncoder(model)
-        run_points = []
-        for config in spec.grid:
-            report = evaluate_corpus(utterances, shared, config).report
-            if report.laal_ms is None:
-                raise SimulRunError(
-                    f"no scored utterances at k={config.k} "
-                    f"({config.detection.value})"
-                )
-            run_points.append(CurvePoint(
-                config.detection, config.k, report.bleu, report.al_ms,
-                report.laal_ms, report.al_ca_ms, report.laal_ca_ms,
-            ))
-        per_run.append(run_points)
+    with shared_references():
+        for _ in range(spec.runs_per_point):
+            shared = _SharedEncoder(model)
+            run_points = []
+            for config in spec.grid:
+                report = evaluate_corpus(utterances, shared, config).report
+                if report.laal_ms is None:
+                    raise SimulRunError(
+                        f"no scored utterances at k={config.k} "
+                        f"({config.detection.value})"
+                    )
+                run_points.append(CurvePoint(
+                    config.detection, config.k, report.bleu, report.al_ms,
+                    report.laal_ms, report.al_ca_ms, report.laal_ca_ms,
+                ))
+            per_run.append(run_points)
     points = [
         replace(
             runs[0],

@@ -451,7 +451,8 @@ def build_synthetic_utterance(
     (>= 1; channel 0 is the blank) -- pass a model's ``source_word_index`` so
     the frames match its source vocabulary.  All durations must be positive
     multiples of ``frame_ms``.  The result carries the oracle word-end frame
-    indices.
+    indices.  CTC merges a one-frame word into the same word just before it
+    when no silence separates them, so adaptive detection counts one word.
     """
     if len(words) != len(per_word_ms):
         raise ValueError("words and per_word_ms must have equal length")

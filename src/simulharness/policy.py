@@ -434,14 +434,14 @@ class SimulEngine:
         # one token object per distinct id
         token_of = {i: SubwordToken(self._vocab[i], self._convention)
                     for i in set(ids)}
-        hypothesis = Hypothesis(
+        # a WRITE's word is a str, its delays an int and a float
+        return Hypothesis._trusted(
             tokens=tuple(map(token_of.__getitem__, ids)),
-            words=tuple(e.payload for e in writes),
-            ideal_delays_ms=tuple(e.ideal_ms for e in writes),
-            wall_delays_ms=tuple(e.wall_ms for e in writes),
+            words=tuple([e.payload for e in writes]),
+            ideal_delays_ms=tuple([e.ideal_ms for e in writes]),
+            wall_delays_ms=tuple([e.wall_ms for e in writes]),
             truncated=self._truncated,
-        )
-        return hypothesis, list(self._events)
+        ), list(self._events)
 
 
 def run_simultaneous(

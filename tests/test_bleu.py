@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import sys
+import threading
 
 import pytest
 from hypothesis import given
@@ -192,3 +193,45 @@ def test_bleu_identity_shorter_than_the_ngram_order_scores_zero():
     scorer's behavior on degenerate corpora)."""
     for words in (["ab"], ["ab", "cd"], ["ab", "cd", "ef"]):
         assert corpus_bleu([words], [words]) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# Shared references: each reference scored once inside the block
+# ---------------------------------------------------------------------------
+
+
+@given(data=st.data())
+def test_shared_references_score_bit_for_bit_as_plain_calls(data):
+    """Points drawn over one reference pool, scored inside one block, give
+    the plain calls' scores exactly, cold or warm: references repeat within
+    and across points, and hypotheses equal, differ from or miss them."""
+    pool = data.draw(st.lists(_sentence, min_size=1, max_size=3))
+    index = st.integers(0, len(pool) - 1)
+    points = data.draw(st.lists(
+        st.lists(st.tuples(index, st.none() | st.just([]) | _sentence),
+                 min_size=1, max_size=6),
+        min_size=1, max_size=4,
+    ))
+    scored = []
+    for point in points:
+        refs = [pool[i] for i, _ in point]
+        hyps = [pool[i] if hyp is None else hyp for i, hyp in point]
+        scored.append((hyps, refs, corpus_bleu(hyps, refs)))
+    with simulharness.bleu.shared_references():
+        for hyps, refs, plain in scored * 2:
+            assert corpus_bleu(hyps, refs) == plain
+
+
+def test_shared_references_are_scoped_to_the_block_and_its_thread():
+    seen = []
+    with simulharness.bleu.shared_references():
+        corpus_bleu([["ab"]], [["ab", "cd"]])
+        seen.append(simulharness.bleu._references.get(None))
+        thread = threading.Thread(target=lambda: seen.append(
+            simulharness.bleu._references.get(None)))
+        thread.start()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert list(seen[0]) == ["ab cd"]  # the block's memo, in its thread only
+    assert seen[1] is None
+    assert simulharness.bleu._references.get(None) is None

@@ -44,7 +44,7 @@ from simulharness import (
     write_curve_csv,
     write_eval_outputs,
 )
-from simulharness import harness, policy
+from simulharness import bleu, harness, policy
 
 
 def _corpus(model, n_utts=3, n_words=6):
@@ -366,6 +366,45 @@ def test_a_sweep_encodes_each_chunk_once_per_repeat():
     # nothing outlives the call: a second sweep encodes all over again
     sweep(utts, model, spec)
     assert model.encodes == 2 * n_chunks * spec.runs_per_point
+
+
+@pytest.mark.parametrize("runs_per_point", [1, 2])
+def test_a_sweep_scores_each_reference_once_per_call(
+    monkeypatch, runs_per_point
+):
+    """13a tokenizes each distinct reference once per sweep, and each
+    scored hypothesis at every point of every repeat."""
+    model = make_model()
+    utts = _corpus(model, n_utts=3, n_words=4)
+    utts += [replace(utts[0], id="twin"),  # a repeated reference
+             replace(utts[1], id="unscored", reference=())]
+    lines = []
+    tokenize = bleu.tokenize_13a
+
+    def counting(line):
+        lines.append(line)
+        return tokenize(line)
+
+    monkeypatch.setattr(bleu, "tokenize_13a", counting)
+    spec = SweepSpec(k_values=(1, 3), runs_per_point=runs_per_point)
+    n_refs, n_scored = 3, 4
+    once = n_refs + runs_per_point * len(spec.grid) * n_scored
+    sweep(utts, model, spec)
+    assert len(lines) == once
+    # a second sweep tokenizes its references again
+    sweep(utts, model, spec)
+    assert len(lines) == 2 * once
+
+
+def test_a_sweep_leaves_no_reference_memo_open():
+    model = make_model()
+    sweep(_corpus(model, n_utts=2, n_words=3), model, SweepSpec(k_values=(1,)))
+    assert bleu._references.get(None) is None
+    utt = aligned_utterance(model, ["da"], utt_id="no-ref")
+    object.__setattr__(utt, "reference", ())
+    with pytest.raises(SimulRunError, match="no scored utterances"):
+        sweep([utt], model, SweepSpec(k_values=(1,)))
+    assert bleu._references.get(None) is None
 
 
 def test_a_shared_encoding_is_charged_to_every_point():

@@ -24,6 +24,7 @@ from simulharness import (
     CtcPosterior,
     DetectionKind,
     Event,
+    Hypothesis,
     LexiconMockModel,
     ModelInterface,
     PolicyConfig,
@@ -460,6 +461,40 @@ def test_engine_groups_words_as_word_spans_does(
     assert hyp.words == tuple(word for word, _ in spans)
     delays = hyp.ideal_delays_ms
     assert all(a <= b for a, b in zip(delays, delays[1:]))
+
+
+@pytest.mark.parametrize("convention", list(Convention))
+@pytest.mark.parametrize("words, max_target_words", [
+    (["da", "geht", "esel", "haus"], None),
+    (["da", "geht", "esel", "haus"], 3),  # truncated
+    ([], None),  # an empty hypothesis
+])
+def test_the_engine_builds_the_hypothesis_the_public_constructor_does(
+    convention, words, max_target_words
+):
+    """``result()`` skips the constructor's conversions, so its fields must
+    already be what the constructor would make of the same values."""
+    model = make_model(EXPANDING_LEXICON, target_piece_len=2,
+                       target_convention=convention)
+    utt = aligned_utterance(model, words)
+    config = PolicyConfig(k=2, max_target_words=max_target_words)
+    hyp, _ = run_simultaneous(model, utt, config)
+    public = Hypothesis(
+        tokens=list(hyp.tokens),
+        words=list(hyp.words),
+        ideal_delays_ms=list(hyp.ideal_delays_ms),
+        wall_delays_ms=list(hyp.wall_delays_ms),
+        truncated=hyp.truncated,
+    )
+    assert hyp == public
+    assert hash(hyp) == hash(public)
+    assert hyp.truncated is (max_target_words is not None)
+    assert bool(hyp.words) is bool(words)
+    for name, kind in (("tokens", SubwordToken), ("words", str),
+                       ("ideal_delays_ms", int), ("wall_delays_ms", float)):
+        value = getattr(hyp, name)
+        assert type(value) is tuple
+        assert {type(item) for item in value} <= {kind}
 
 
 # ---------------------------------------------------------------------------

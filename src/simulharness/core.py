@@ -8,6 +8,7 @@ evaluation corpora.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -379,6 +380,18 @@ def _word_list(value: object, field: str, lineno: int) -> tuple[str, ...]:
     return tuple(value)
 
 
+def _collector_held_off(action, args):
+    """``action(*args)`` with the cyclic collector off, then as the caller
+    had it; a tuple, not ``*args``, as each engine step calls it."""
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return action(*args)
+    finally:
+        if collecting:
+            gc.enable()
+
+
 def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
     """Load a line-delimited JSON manifest.
 
@@ -392,86 +405,89 @@ def load_manifest(path: str | Path) -> tuple[Utterance, ...]:
     not decode included, raises :class:`ManifestError` naming the line number.
     """
     path = Path(path)
+    # a load makes no reference cycle, so a collection could only re-scan
+    with path.open("rb") as handle:
+        return _collector_held_off(_parse_lines, (path, handle))
+
+
+def _parse_lines(path: Path, lines: Iterable[bytes]) -> tuple[Utterance, ...]:
     utterances: list[Utterance] = []
     seen: set[str] = set()
-    with path.open("rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            record = decode_json(line)
+        except json.JSONDecodeError as exc:
+            raise ManifestError(
+                f"malformed JSON at line {lineno}: {exc.msg}"
+            ) from exc
+        if not isinstance(record, dict):
+            raise ManifestError(f"expected an object at line {lineno}")
+        for key in _REQUIRED_FIELDS:
+            if key not in record:
+                raise ManifestError(f"missing field {key!r} at line {lineno}")
+        utt_id = record["id"]
+        if not isinstance(utt_id, str) or not utt_id:
+            raise ManifestError(
+                f"field 'id' must be a non-empty string at line {lineno}"
+            )
+        if not _is_file_name(utt_id):
+            raise ManifestError(
+                f"id {utt_id!r} is not a file name at line {lineno}"
+            )
+        if utt_id in seen:
+            raise ManifestError(
+                f"duplicate id {utt_id!r} at line {lineno}"
+            )
+        seen.add(utt_id)
+        try:
+            frame_ms = check_frame_ms(record["frame_ms"])
+        except ValueError:
+            raise ManifestError(
+                f"field 'frame_ms' must be a positive integer "
+                f"at line {lineno}"
+            ) from None
+        raw_frames = record["frames"]
+        if isinstance(raw_frames, str):
+            frames_path = path.parent / raw_frames
             try:
-                record = decode_json(line)
+                raw_frames = decode_json(frames_path.read_bytes())
+            except FileNotFoundError as exc:
+                raise ManifestError(
+                    f"frames file {record['frames']!r} not found "
+                    f"at line {lineno}"
+                ) from exc
             except json.JSONDecodeError as exc:
                 raise ManifestError(
-                    f"malformed JSON at line {lineno}: {exc.msg}"
+                    f"malformed frames file {record['frames']!r} "
+                    f"at line {lineno}: {exc.msg}"
                 ) from exc
-            if not isinstance(record, dict):
-                raise ManifestError(f"expected an object at line {lineno}")
-            for key in _REQUIRED_FIELDS:
-                if key not in record:
-                    raise ManifestError(
-                        f"missing field {key!r} at line {lineno}"
-                    )
-            utt_id = record["id"]
-            if not isinstance(utt_id, str) or not utt_id:
-                raise ManifestError(
-                    f"field 'id' must be a non-empty string at line {lineno}"
+        if not isinstance(raw_frames, list):
+            raise ManifestError(
+                f"field 'frames' must be an array of feature rows "
+                f"at line {lineno}"
+            )
+        try:
+            frames = frames_from_rows(raw_frames)
+        except ValueError as exc:
+            raise ManifestError(
+                f"bad frame row at line {lineno}: {exc}"
+            ) from exc
+        transcript = record.get("transcript")
+        if transcript is not None:
+            transcript = _word_list(transcript, "transcript", lineno)
+        reference = _word_list(record["reference"], "reference", lineno)
+        try:
+            utterances.append(
+                Utterance(
+                    id=utt_id,
+                    frames=frames,
+                    frame_ms=frame_ms,
+                    transcript=transcript,
+                    reference=reference,
                 )
-            if not _is_file_name(utt_id):
-                raise ManifestError(
-                    f"id {utt_id!r} is not a file name at line {lineno}"
-                )
-            if utt_id in seen:
-                raise ManifestError(
-                    f"duplicate id {utt_id!r} at line {lineno}"
-                )
-            seen.add(utt_id)
-            try:
-                frame_ms = check_frame_ms(record["frame_ms"])
-            except ValueError:
-                raise ManifestError(
-                    f"field 'frame_ms' must be a positive integer "
-                    f"at line {lineno}"
-                ) from None
-            raw_frames = record["frames"]
-            if isinstance(raw_frames, str):
-                frames_path = path.parent / raw_frames
-                try:
-                    raw_frames = decode_json(frames_path.read_bytes())
-                except FileNotFoundError as exc:
-                    raise ManifestError(
-                        f"frames file {record['frames']!r} not found "
-                        f"at line {lineno}"
-                    ) from exc
-                except json.JSONDecodeError as exc:
-                    raise ManifestError(
-                        f"malformed frames file {record['frames']!r} "
-                        f"at line {lineno}: {exc.msg}"
-                    ) from exc
-            if not isinstance(raw_frames, list):
-                raise ManifestError(
-                    f"field 'frames' must be an array of feature rows "
-                    f"at line {lineno}"
-                )
-            try:
-                frames = frames_from_rows(raw_frames)
-            except ValueError as exc:
-                raise ManifestError(
-                    f"bad frame row at line {lineno}: {exc}"
-                ) from exc
-            transcript = record.get("transcript")
-            if transcript is not None:
-                transcript = _word_list(transcript, "transcript", lineno)
-            reference = _word_list(record["reference"], "reference", lineno)
-            try:
-                utterances.append(
-                    Utterance(
-                        id=utt_id,
-                        frames=frames,
-                        frame_ms=frame_ms,
-                        transcript=transcript,
-                        reference=reference,
-                    )
-                )
-            except ValueError as exc:
-                raise ManifestError(f"{exc} at line {lineno}") from exc
+            )
+        except ValueError as exc:
+            raise ManifestError(f"{exc} at line {lineno}") from exc
     return tuple(utterances)

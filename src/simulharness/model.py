@@ -451,8 +451,8 @@ def build_synthetic_utterance(
     (>= 1; channel 0 is the blank) -- pass a model's ``source_word_index`` so
     the frames match its source vocabulary.  All durations must be positive
     multiples of ``frame_ms``.  The result carries the oracle word-end frame
-    indices.  CTC merges a one-frame word into the same word just before it
-    when no silence separates them, so adaptive detection counts one word.
+    indices.  A one-frame word right after the same word, with no silence
+    between, raises ``ValueError``: CTC would merge the two into one word.
     """
     if len(words) != len(per_word_ms):
         raise ValueError("words and per_word_ms must have equal length")
@@ -489,6 +489,7 @@ def build_synthetic_utterance(
         )
 
     add_silence(gaps_ms[0])
+    touching = None  # the channel of the word before, if no silence follows
     for word, duration, gap in zip(words, per_word_ms, gaps_ms[1:]):
         if duration <= 0:
             raise ValueError("word durations must be positive")
@@ -496,6 +497,11 @@ def build_synthetic_utterance(
         if word not in vocab:
             raise ValueError(f"word {word!r} missing from the vocab mapping")
         channel = vocab[word]
+        if n == 1 and channel == touching:
+            raise ValueError(
+                f"one-frame word {word!r} at position {len(ends)} directly "
+                "follows the same word: CTC would merge the two"
+            )
         interior = tuple(
             1.0 if j == channel else 0.0 for j in range(dim)
         )
@@ -506,6 +512,7 @@ def build_synthetic_utterance(
         frames.append(Frame(final))
         ends.append(len(frames) - 1)
         add_silence(gap)
+        touching = None if gap else channel
 
     return Utterance(
         id=utt_id,

@@ -37,7 +37,6 @@ wait-∞.
 
 from __future__ import annotations
 
-import gc
 import json
 import logging
 from time import perf_counter
@@ -55,6 +54,7 @@ from .core import (
     Utterance,
     WordBuilder,
     _chunks,
+    _collector_held_off,
     check_frame_ms,
     decode_json,
     default_max_target_words,
@@ -296,17 +296,11 @@ class SimulEngine:
         yield self._step(self.finish_source)
 
     def _step(self, action, *args) -> list[Event]:
-        # a collection inside a timed model call would count as compute: hold
-        # the process-wide collector off (a concurrent step may re-enable it)
-        collecting = gc.isenabled()
-        gc.disable()
+        # a collection inside a timed model call would count as compute
         try:
-            return action(*args)
+            return _collector_held_off(action, args)
         except Exception as exc:
             raise SimulRunError(str(exc), events=self._events) from exc
-        finally:
-            if collecting:
-                gc.enable()
 
     def push_chunk(self, frames: Sequence[Frame]) -> list[Event]:
         """READ one chunk of frames, then WRITE whatever became due.

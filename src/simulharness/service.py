@@ -10,10 +10,11 @@ utterance.  The server interleaves WORD messages exactly when the in-process
 engine would emit them -- both sides drive the same
 :class:`~simulharness.policy.SimulEngine` through its ``run`` loop -- and
 ends the target stream with EOS_TGT.  A session that fails ends in one
-place, with one ERROR message (``protocol: …``, ``config: …`` or
-``model: …``) and a close.  A client that stops sending before EOS_SRC, or
-sends nothing for :attr:`_SessionHandler.timeout` seconds, gets one too; a
-connection that closes without a word gets none.
+place, with one ERROR message (``protocol: …``, ``config: …``, ``model: …``
+or, for a fault in the server itself, ``internal: …``) and a close.  A
+client that stops sending before EOS_SRC, or sends nothing for
+:attr:`_SessionHandler.timeout` seconds, gets one too; a connection that
+closes without a word gets none.
 
 Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms``; only a WORD's
@@ -44,6 +45,7 @@ import selectors
 import socket
 import socketserver
 import struct
+import sys
 import threading
 import time
 import uuid
@@ -339,6 +341,14 @@ class _ThreadedTCPServer(socketserver.TCPServer):
                 with self._lock:  # free before the close a client may see
                     self._busy -= 1
                 self.shutdown_request(request)
+
+    def handle_error(self, request, client_address) -> None:
+        # a fault of the server's own, not of the session: log it, tell the
+        # client, and let the caller close the connection
+        logger.exception("%s: session handler failed", client_address)
+        reply = {"message": f"internal: {sys.exc_info()[1]!r}"}
+        with contextlib.suppress(OSError):
+            request.sendall(WireMessage(KIND_ERROR, "?", reply).to_line())
 
     def server_close(self) -> None:
         super().server_close()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import pickle
 
@@ -468,6 +469,53 @@ def test_load_manifest_names_the_line_of_a_bad_record(
     path = _write_manifest(tmp_path, [_record(), record])
     with pytest.raises(ManifestError, match=message):
         load_manifest(path)
+
+
+def _collections_started(action, *args):
+    """``action(*args)``, and the generation of each cyclic collection that
+    started while it ran."""
+    started = []
+
+    def probe(phase, info):
+        if phase == "start":
+            started.append(info["generation"])
+
+    gc.callbacks.append(probe)
+    try:
+        result = action(*args)
+    finally:
+        gc.callbacks.remove(probe)
+    return result, started
+
+
+def test_a_load_sets_off_no_cyclic_collection(tmp_path):
+    """A load makes no reference cycle, so a collection inside it could
+    free nothing: it would only re-scan the frames built so far."""
+    frames = [[0.5, float(i)] for i in range(500)]
+    path = _write_manifest(
+        tmp_path, [_record(f"u{i}", frames=frames) for i in range(8)]
+    )
+    assert gc.isenabled()
+    utterances, started = _collections_started(load_manifest, path)
+    assert started == []
+    assert sum(u.n_frames for u in utterances) == 4000
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_a_load_leaves_the_callers_collector_setting_as_it_was(
+    tmp_path, collecting
+):
+    (gc.enable if collecting else gc.disable)()
+    try:
+        load_manifest(_write_manifest(tmp_path, [_record(), _record("u2")]))
+        assert gc.isenabled() is collecting
+        path = _write_manifest(tmp_path, [_record(), _record(), _record("u3")])
+        with pytest.raises(ManifestError, match="duplicate id 'u1' at line 2"):
+            load_manifest(path)
+        assert gc.isenabled() is collecting
+    finally:
+        gc.enable()
 
 
 def test_subword_token_is_hashable_value_object():

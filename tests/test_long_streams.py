@@ -113,12 +113,15 @@ def _stream_with_silences(model, n_words, seed):
     rng = random.Random(seed)
     words = [rng.choice(sorted(model.source_word_index))
              for _ in range(n_words)]
+    per_word_ms = [10 * rng.randint(1, 30) for _ in words]
+    gaps_ms = [10 * rng.choice([0, 0, 0, 1, 7, 40])
+               for _ in range(n_words + 1)]
+    for i in range(1, n_words):  # CTC would merge a one-frame repeat
+        if (words[i] == words[i - 1] and per_word_ms[i] == 10
+                and not gaps_ms[i]):
+            per_word_ms[i] = 20
     return build_synthetic_utterance(
-        words,
-        [10 * rng.randint(1, 30) for _ in words],
-        vocab=model.source_word_index,
-        gaps_ms=[10 * rng.choice([0, 0, 0, 1, 7, 40])
-                 for _ in range(n_words + 1)],
+        words, per_word_ms, vocab=model.source_word_index, gaps_ms=gaps_ms,
     )
 
 

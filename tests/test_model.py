@@ -307,6 +307,30 @@ def test_synthetic_utterance_validation_messages():
         build_synthetic_utterance(["a"], [280], vocab={"a": 0})
 
 
+def test_a_one_frame_word_right_after_the_same_word_is_refused():
+    """The mock marks only a word's final frame, so two one-frame "da"s in a
+    row would give one CTC run, and detection would count one word.  A gap
+    or a second frame keeps them apart: each word is detected at its end."""
+    model = make_model()
+    words = ["da", "da", "da"]
+    with pytest.raises(
+        ValueError, match=r"word 'da' at position 1 directly follows"
+    ):
+        build_synthetic_utterance(words, [10, 10, 10],
+                                  vocab=model.source_word_index)
+    config = PolicyConfig(k=1, detection="adaptive", step_ms=10)
+    for per_word_ms, gaps_ms in [([10, 10, 10], [0, 10, 10, 0]),
+                                 ([10, 20, 20], None)]:
+        utt = build_synthetic_utterance(
+            words, per_word_ms, vocab=model.source_word_index,
+            gaps_ms=gaps_ms,
+        )
+        hypothesis, _ = run_simultaneous(model, utt, config)
+        assert hypothesis.ideal_delays_ms == tuple(
+            10 * (end + 1) for end in utt.word_end_frames
+        )
+
+
 def test_synthetic_corpus_is_reproducible_and_referenced():
     model = make_model()
     corpus_a = synthetic_corpus(model, n_utts=5, rng=random.Random(11))

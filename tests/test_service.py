@@ -831,10 +831,11 @@ def test_sequential_sessions_run_on_one_worker(server, workers, monkeypatch):
 
 
 def test_a_handler_that_raises_frees_its_worker_for_the_next_session(
-    server, monkeypatch, capsys
+    server, monkeypatch, caplog
 ):
     """An exception out of a session's handler is the server's to report:
-    that client sees its connection end, and the worker serves the next."""
+    that client gets one ``internal:`` ERROR, the module logs the
+    traceback, and the worker serves the next session."""
     seen: list[threading.Thread] = []
     handle = _SessionHandler.handle
 
@@ -847,9 +848,16 @@ def test_a_handler_that_raises_frees_its_worker_for_the_next_session(
     monkeypatch.setattr(_SessionHandler, "handle", failing_once)
     model = make_model()
     utt = aligned_utterance(model, ["da", "esel", "geht"])
-    with pytest.raises(ServiceError):
-        stream_utterance(server.address, utt, PolicyConfig(k=1), timeout_s=10)
-    assert "RuntimeError: handler bug" in capsys.readouterr().err
+    with caplog.at_level(logging.ERROR, logger="simulharness.service"):
+        with pytest.raises(
+            ServiceError, match=r"remote error: internal: RuntimeError"
+        ):
+            stream_utterance(
+                server.address, utt, PolicyConfig(k=1), timeout_s=10
+            )
+    (record,) = caplog.records
+    assert record.exc_info[0] is RuntimeError
+    assert "RuntimeError: handler bug" in caplog.text
     local, _ = run_simultaneous(model, utt, PolicyConfig(k=1))
     remote, _ = stream_utterance(
         server.address, utt, PolicyConfig(k=1), timeout_s=10

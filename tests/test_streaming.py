@@ -92,6 +92,9 @@ def _streams(draw):
     n = len(words)
     per_word = draw(st.lists(st.integers(1, 30), min_size=n, max_size=n))
     gaps = draw(st.lists(st.integers(0, 20), min_size=n + 1, max_size=n + 1))
+    for i in range(1, n):  # CTC would merge a one-frame repeat
+        if words[i] == words[i - 1] and per_word[i] == 1 and not gaps[i]:
+            per_word[i] = 2
     return {
         "lexicon": lexicon,
         "words": words,

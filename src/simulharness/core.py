@@ -176,6 +176,17 @@ def check_frame_ms(frame_ms: object) -> int:
     return frame_ms
 
 
+def check_step_ms(step_ms: int, frame_ms: object) -> None:
+    """Refuse a ``step_ms`` that is not a positive multiple of ``frame_ms``."""
+    if step_ms <= 0:
+        raise ValueError("step_ms must be positive")
+    if step_ms % check_frame_ms(frame_ms):
+        raise ValueError(
+            f"step_ms={step_ms} is not a multiple of the "
+            f"{frame_ms} ms frame duration"
+        )
+
+
 def default_max_target_words(utterance: Utterance | None = None) -> int:
     """Safety cap on generated words: twice the source length plus slack.
 
@@ -273,23 +284,20 @@ def subword_tokens(
     if piece_len is not None and piece_len < 1:
         raise ValueError("piece_len must be at least 1")
     tokens: list[SubwordToken] = []
+    bpe = convention is Convention.BPE_SUFFIX
     for word in words:
         if not word:
             raise ValueError("cannot tokenize an empty word")
         if BPE_CONTINUATION in word or SP_WORD_START in word:
             raise ValueError(f"word {word!r} contains a boundary marker")
         size = piece_len or len(word)
-        pieces = [word[i : i + size] for i in range(0, len(word), size)]
-        if convention is Convention.BPE_SUFFIX:
-            for j, piece in enumerate(pieces):
-                if j < len(pieces) - 1:
-                    piece += BPE_CONTINUATION
-                tokens.append(SubwordToken(piece, convention))
-        else:
-            for j, piece in enumerate(pieces):
-                if j == 0:
-                    piece = SP_WORD_START + piece
-                tokens.append(SubwordToken(piece, convention))
+        for i in range(0, len(word), size):
+            piece = word[i : i + size]
+            if bpe and i + size < len(word):
+                piece += BPE_CONTINUATION
+            elif not bpe and i == 0:
+                piece = SP_WORD_START + piece
+            tokens.append(SubwordToken(piece, convention))
     return tokens
 
 
@@ -312,13 +320,7 @@ def segment_stream(
 
 def _chunks(utterance: Utterance, step_ms: int) -> Iterator[tuple[Frame, ...]]:
     """The chunks of :func:`segment_stream`, each cut as it is taken."""
-    if step_ms <= 0:
-        raise ValueError("step_ms must be positive")
-    if step_ms % utterance.frame_ms:
-        raise ValueError(
-            f"step_ms={step_ms} is not a multiple of the "
-            f"{utterance.frame_ms} ms frame duration"
-        )
+    check_step_ms(step_ms, utterance.frame_ms)
     frames = utterance.frames
     if not frames:
         return iter(())

@@ -24,7 +24,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from operator import floordiv, lt
+from operator import floordiv
 from typing import Sequence
 
 import numpy as np
@@ -70,34 +70,18 @@ class CtcPosterior:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    """How many complete source words are known, and where each one ended.
+    """Where each complete source word known so far ended.
 
-    :func:`fixed_word_count` and :func:`adaptive_word_count` return one.  The
-    public constructor checks every end frame; the ends that
-    :func:`fixed_word_count` generates by formula are not checked again
-    (:meth:`_unchecked`).  The engine keeps only :attr:`word_count`.
+    Only :func:`fixed_word_count` (by formula) and :func:`adaptive_word_count`
+    (by CTC collapse) build one, each with non-negative, strictly increasing
+    ``int`` end frames.  The engine keeps only :attr:`word_count`.
     """
 
-    word_count: int
     word_end_frames: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        ends = tuple(map(int, self.word_end_frames))
-        object.__setattr__(self, "word_end_frames", ends)
-        if self.word_count != len(ends):
-            raise ValueError("word_count must match word_end_frames")
-        if ends and min(ends) < 0:
-            raise ValueError("word_end_frames must be non-negative")
-        if not all(map(lt, ends, ends[1:])):
-            raise ValueError("word_end_frames must be strictly increasing")
-
-    @classmethod
-    def _unchecked(cls, ends: tuple[int, ...]) -> "DetectionResult":
-        """Wrap a tuple of valid ``int`` end frames without checking it."""
-        result = object.__new__(cls)
-        object.__setattr__(result, "word_count", len(ends))
-        object.__setattr__(result, "word_end_frames", ends)
-        return result
+    @property
+    def word_count(self) -> int:
+        return len(self.word_end_frames)
 
 
 def fixed_word_count(
@@ -131,7 +115,7 @@ def fixed_word_count(
         range(avg_word_ms - 1, avg_word_ms * count, avg_word_ms),
         repeat(frame_ms),
     )
-    return DetectionResult._unchecked(tuple(ends))
+    return DetectionResult(tuple(ends))
 
 
 def ctc_greedy_collapse(
@@ -176,8 +160,8 @@ def adaptive_word_count(
     """
     tokens = [token for token, _ in collapsed]
     spans, _partial = word_spans(tokens, convention) if tokens else ([], False)
-    ends = tuple(collapsed[last_index][1] for _, last_index in spans)
-    return DetectionResult(len(spans), ends)
+    return DetectionResult(
+        tuple(collapsed[last_index][1] for _, last_index in spans))
 
 
 class AdaptiveDetector:

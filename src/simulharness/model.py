@@ -208,27 +208,19 @@ class LexiconMockModel(ModelInterface):
         self._compute_delay_ms = float(compute_delay_ms)
 
         self._source_vocab = (BLANK_SURFACE,) + tuple(sorted(self._lexicon))
-        pieces = sorted(
-            {
-                token.surface
-                for targets in self._lexicon.values()
-                for word in targets
-                for token in subword_tokens(
-                    [word], target_convention, target_piece_len
-                )
-            }
-        )
-        self._target_vocab = (EOS_SURFACE,) + tuple(pieces)
+        # source word -> target surfaces of its translation
+        surfaces = {
+            source: [token.surface for token in subword_tokens(
+                targets, target_convention, target_piece_len)]
+            for source, targets in self._lexicon.items()
+        }
+        self._target_vocab = (EOS_SURFACE,) + tuple(
+            sorted({s for pieces in surfaces.values() for s in pieces}))
         target_index = {s: i for i, s in enumerate(self._target_vocab)}
         #: source word -> target token ids of its translation
         self._target_ids = {
-            source: tuple(
-                target_index[token.surface]
-                for token in subword_tokens(
-                    targets, target_convention, target_piece_len
-                )
-            )
-            for source, targets in self._lexicon.items()
+            source: tuple(map(target_index.__getitem__, pieces))
+            for source, pieces in surfaces.items()
         }
 
     # -- vocabulary ------------------------------------------------------

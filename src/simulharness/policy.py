@@ -55,7 +55,7 @@ from .core import (
     WordBuilder,
     _chunks,
     _collector_held_off,
-    check_frame_ms,
+    check_step_ms,
     decode_json,
     default_max_target_words,
 )
@@ -235,11 +235,7 @@ class SimulEngine:
         *,
         frame_ms: int = 10,
     ) -> None:
-        if config.step_ms % check_frame_ms(frame_ms):
-            raise ValueError(
-                f"step_ms={config.step_ms} is not a multiple of the "
-                f"{frame_ms} ms frame duration"
-            )
+        check_step_ms(config.step_ms, frame_ms)
         if config.detection is _FIXED and config.avg_word_ms < frame_ms:
             raise ValueError("avg_word_ms must be at least one frame long")
         self._model = model

@@ -29,8 +29,9 @@ client reports that, so computation-aware metrics are the server's.  Under
 real-time pacing it sends each chunk once its audio exists and reports each
 WORD's raw arrival, which charges compute and transport as a listener would.
 The client cuts each chunk as it sends it and reads on a selector, in its
-sending thread, before each send and while it waits; under fast pacing it
-yields the CPU before each send until the first reply.
+sending thread, before each send, while a send would block and while it
+waits; a send still blocked after ``timeout_s`` fails the session.  Under
+fast pacing it yields the CPU before each send until the first reply.
 """
 
 from __future__ import annotations
@@ -84,6 +85,7 @@ _POLL_S = 0.05
 
 _MAX_WAIT_S = 86400.0  #: a day, the client's longest single selector wait
 _MAX_SESSIONS = 64  #: a server's sessions at once; one more gets an ERROR
+_READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
 
 _yield_cpu = getattr(os, "sched_yield", lambda: None)  # Unix only
 
@@ -439,6 +441,7 @@ def stream_utterance(
 
     with socket.create_connection(address, timeout=timeout_s) as sock, \
             selectors.DefaultSelector() as selector:
+        sock.setblocking(False)  # a send that would block reads meanwhile
         selector.register(sock, selectors.EVENT_READ)
         started = time.perf_counter()
         pending = b""
@@ -449,18 +452,30 @@ def stream_utterance(
         def transmit(kind: str, payload: object) -> None:
             # unbuffered: a send the server cuts off leaves nothing behind
             # for a later flush into the dead socket
-            sock.sendall(WireMessage(kind, session, payload).to_line())
+            unsent = memoryview(WireMessage(kind, session, payload).to_line())
+            while unsent:
+                try:
+                    unsent = unsent[sock.send(unsent):]
+                except BlockingIOError:  # read until the socket takes more
+                    selector.modify(sock, _READ_WRITE)
+                    ended = receive(now_ms() + timeout_s * 1000.0, kind)
+                    selector.modify(sock, selectors.EVENT_READ)
+                    if ended:
+                        return
 
-        def receive(until_ms: float) -> bool:
-            # read until EOS_TGT (true) or ``until_ms`` on the session clock
+        def receive(until_ms: float, sending: str = "") -> bool:
+            # read until EOS_TGT (true), ``until_ms`` or room to go on sending
             nonlocal pending
             try:
                 while not received or received[-1][0].kind != KIND_EOS_TGT:
                     wait_s = max(0.0, until_ms - now_ms()) / 1000.0
-                    if not selector.select(min(wait_s, _MAX_WAIT_S)):
-                        if wait_s <= _MAX_WAIT_S:
-                            return False
+                    ready = selector.select(min(wait_s, _MAX_WAIT_S))
+                    if not ready and wait_s > _MAX_WAIT_S:
                         continue  # one wait overflows far below TIMEOUT_MAX
+                    if not ready and sending:  # a cut line cannot be resumed
+                        raise ServiceError(f"timed out sending {sending}")
+                    if not ready or ready[0][1] & selectors.EVENT_WRITE:
+                        return False
                     data, arrival = sock.recv(1 << 16), now_ms()
                     if not data:
                         raise ServiceError("connection closed before EOS_TGT")

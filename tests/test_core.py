@@ -192,6 +192,12 @@ def test_subword_tokens_piece_shapes():
     assert [t.surface for t in tokens] == ["▁he", "ll", "o"]
 
 
+def test_subword_tokens_refuses_a_piece_shorter_than_one_character():
+    for piece_len in (0, -1):
+        with pytest.raises(ValueError, match="piece_len must be at least 1"):
+            subword_tokens(["hello"], Convention.BPE_SUFFIX, piece_len)
+
+
 # ---------------------------------------------------------------------------
 # Frames, utterances, hypotheses
 # ---------------------------------------------------------------------------

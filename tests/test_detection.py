@@ -11,7 +11,6 @@ from helpers import bpe, sp
 from simulharness import (
     Convention,
     CtcPosterior,
-    DetectionResult,
     adaptive_word_count,
     ctc_greedy_collapse,
     fixed_word_count,
@@ -191,13 +190,35 @@ def test_adaptive_word_count_empty():
     assert result.word_end_frames == ()
 
 
-def test_detection_result_validation():
-    with pytest.raises(ValueError, match="word_count must match"):
-        DetectionResult(2, (3,))
-    with pytest.raises(ValueError, match="non-negative"):
-        DetectionResult(1, (-1,))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        DetectionResult(2, (5, 5))
+#: per convention: blank, a word's opening piece, and two other pieces
+_PIECE_VOCABS = {
+    Convention.BPE_SUFFIX: ("<blank>", "a@@", "b", "c"),
+    Convention.SP_PREFIX: ("<blank>", "▁a", "b", "▁c"),
+}
+
+
+@given(
+    convention=st.sampled_from(list(Convention)),
+    path=st.lists(st.integers(0, 3), max_size=60),
+)
+def test_adaptive_word_count_end_frames_lie_inside_the_posterior(
+    convention, path
+):
+    """Over any drawn collapse, the end frames are non-negative ``int``s,
+    strictly increasing and inside the posterior, as fixed detection's are
+    (``test_fixed_word_count_properties``)."""
+    vocab = _PIECE_VOCABS[convention]
+    scores = np.zeros((len(path), len(vocab)))
+    for t, index in enumerate(path):
+        scores[t, index] = 1.0
+    collapsed = ctc_greedy_collapse(CtcPosterior(scores, vocab), convention)
+    result = adaptive_word_count(collapsed, convention)
+    ends = result.word_end_frames
+    assert all(type(end) is int and 0 <= end < len(path) for end in ends)
+    assert all(b > a for a, b in zip(ends, ends[1:]))
+    assert result.word_count == len(ends)
+    # each word ends where one of its collapsed tokens does
+    assert set(ends) <= {frame for _, frame in collapsed}
 
 
 @given(

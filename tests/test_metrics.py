@@ -250,6 +250,13 @@ def test_delay_sequence_validation():
         DelaySequence((-1.0,), (0.0,), 10.0, 1, 1)
 
 
+def test_delay_sequence_refuses_a_negative_length_or_duration():
+    with pytest.raises(ValueError, match="ref_len must be non-negative"):
+        DelaySequence((1.0,), (1.0,), 10.0, 1, -1)
+    with pytest.raises(ValueError, match="source_ms must be non-negative"):
+        DelaySequence((), (), -1.0, 0, 1)
+
+
 # ---------------------------------------------------------------------------
 # Regimes and the length statistic
 # ---------------------------------------------------------------------------

@@ -307,6 +307,13 @@ def test_synthetic_utterance_validation_messages():
         build_synthetic_utterance(["a"], [280], vocab={"a": 0})
 
 
+def test_a_negative_silence_is_refused():
+    with pytest.raises(
+        ValueError, match="silence durations must be non-negative"
+    ):
+        build_synthetic_utterance(["a"], [280], gaps_ms=[-10, 0])
+
+
 def test_a_one_frame_word_right_after_the_same_word_is_refused():
     """The mock marks only a word's final frame, so two one-frame "da"s in a
     row would give one CTC run, and detection would count one word.  A gap
@@ -407,6 +414,14 @@ def test_attention_mask_rejects_non_prefix_rows():
     shrinking = np.array([[True, True, False], [True, False, False]])
     with pytest.raises(ValueError, match="nested"):
         AttentionMask(shrinking)
+
+
+def test_attention_mask_must_be_two_dimensional():
+    for mask in (np.ones(3, dtype=bool), np.ones((1, 2, 3), dtype=bool)):
+        with pytest.raises(
+            ValueError, match=r"mask must be 2-D \(targets x frames\)"
+        ):
+            AttentionMask(mask)
 
 
 # ---------------------------------------------------------------------------

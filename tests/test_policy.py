@@ -57,6 +57,12 @@ def test_policy_config_coerces_strings_and_validates():
         PolicyConfig(max_target_words=0)
 
 
+def test_policy_config_refuses_a_word_of_no_duration():
+    for avg_word_ms in (0, -280):
+        with pytest.raises(ValueError, match="avg_word_ms must be positive"):
+            PolicyConfig(avg_word_ms=avg_word_ms)
+
+
 @pytest.mark.parametrize(
     "field, value",
     [

@@ -1108,6 +1108,176 @@ def test_a_session_may_wait_as_long_as_a_socket_can(server, pacing):
     assert list(hyp.words) == model.translate_words(["da", "esel"])
 
 
+class _SmallBufferServer(socketserver.ThreadingTCPServer):
+    """A stub server whose sockets buffer about 4 kB each way."""
+
+    daemon_threads = True
+
+    def server_bind(self):
+        # set on the listener, so that each accepted socket starts with them
+        for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+            self.socket.setsockopt(socket.SOL_SOCKET, option, 4096)
+        super().server_bind()
+
+
+@contextlib.contextmanager
+def _stub(handler):
+    """The address of a :class:`_SmallBufferServer` running ``handler``;
+    its ``released`` event is set when the block ends."""
+    stub = _SmallBufferServer(("127.0.0.1", 0), handler)
+    stub.released = threading.Event()
+    threading.Thread(target=stub.serve_forever, args=(0.01,),
+                     daemon=True).start()
+    try:
+        yield stub.server_address
+    finally:
+        stub.released.set()
+        stub.shutdown()
+        stub.server_close()
+
+
+@pytest.fixture()
+def small_client_buffers(monkeypatch):
+    """Client sockets that buffer about 4 kB each way."""
+    connect = socket.create_connection
+
+    def connect_small(*args, **kwargs):
+        sock = connect(*args, **kwargs)
+        for option in (socket.SO_RCVBUF, socket.SO_SNDBUF):
+            sock.setsockopt(socket.SOL_SOCKET, option, 4096)
+        return sock
+
+    monkeypatch.setattr(socket, "create_connection", connect_small)
+
+
+class _WordsBeforeReadingHandler(socketserver.StreamRequestHandler):
+    """A server that answers HELLO with 600 WORDs before it reads any
+    CHUNK, then reads up to EOS_SRC and ends the target stream."""
+
+    def handle(self):
+        hello = WireMessage.parse(self.rfile.readline())
+        word = WireMessage("WORD", hello.session, {"word": "x", "ideal_ms": 0},
+                           t_server_ms=0.0)
+        eos = {"tokens": ["x"] * 600, "convention": "bpe",
+               "truncated": False}
+        try:
+            self.wfile.write(word.to_line() * 600)
+            for line in self.rfile:
+                if WireMessage.parse(line).kind == "EOS_SRC":
+                    break
+            self.wfile.write(
+                WireMessage("EOS_TGT", hello.session, eos).to_line()
+            )
+        except (OSError, ValueError):
+            pass  # the client gave up, maybe with a line half sent
+
+
+def test_a_client_reads_while_its_send_would_block(small_client_buffers):
+    """The server writes its WORDs before it reads, and 4 kB buffers fill
+    both ways: a client that waited in a send without reading would wait
+    for a server that waits for it, until ``timeout_s`` ran out twice."""
+    utt = aligned_utterance(make_model(), ["da", "esel"] * 15)
+    with _stub(_WordsBeforeReadingHandler) as address:
+        hyp, arrivals = stream_utterance(address, utt, PolicyConfig(k=3),
+                                         timeout_s=4)
+    assert hyp.words == ("x",) * 600
+    assert len(arrivals) == 600
+
+
+class _NeverReadsHandler(socketserver.StreamRequestHandler):
+    """A stalled server: reads HELLO, then neither reads nor writes."""
+
+    def handle(self):
+        self.rfile.readline()
+        self.server.released.wait(30)
+
+
+def test_a_send_that_stays_blocked_fails_within_one_timeout(
+    small_client_buffers,
+):
+    """A server that stops reading leaves the client's send waiting.  The
+    wait runs out at ``timeout_s`` with a line cut short, which cannot be
+    resumed, so the session fails there and does not wait again for a
+    target stream."""
+    utt = aligned_utterance(make_model(), ["da", "esel"] * 50)
+    with _stub(_NeverReadsHandler) as address:
+        start = time.perf_counter()
+        with pytest.raises(ServiceError, match="timed out sending CHUNK"):
+            stream_utterance(address, utt, PolicyConfig(k=3), timeout_s=1.0)
+        elapsed = time.perf_counter() - start
+    assert 1.0 <= elapsed < 1.8, elapsed
+
+
+class _SilentHandler(socketserver.StreamRequestHandler):
+    """A server that reads every line and never answers."""
+
+    def handle(self):
+        for _ in self.rfile:
+            pass
+
+
+def test_a_wait_longer_than_one_selector_wait_is_taken_in_parts(
+    server, monkeypatch
+):
+    """With the longest single selector wait cut to 2 ms, every wait of the
+    client comes in parts: a real-time session still returns its words,
+    and a server that never answers still fails the client at
+    ``timeout_s``, not at the end of the first part."""
+    monkeypatch.setattr(simulharness.service, "_MAX_WAIT_S", 0.002)
+    model = make_model()
+    utt = aligned_utterance(model, ["da", "esel"])
+    hyp, _ = stream_utterance(server.address, utt, PolicyConfig(k=1),
+                              pacing="realtime", timeout_s=10)
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
+    with _stub(_SilentHandler) as address:
+        start = time.perf_counter()
+        with pytest.raises(
+            ServiceError, match="timed out waiting for the target stream"
+        ):
+            stream_utterance(address, utt, PolicyConfig(k=1), timeout_s=0.3)
+        elapsed = time.perf_counter() - start
+    assert 0.3 <= elapsed < 1.5, elapsed
+
+
+def test_a_client_that_resets_mid_session_is_a_dropped_connection(
+    server, workers, monkeypatch, caplog
+):
+    """A client that resets the connection after HELLO and one CHUNK gets
+    no ERROR: the server logs the drop at INFO, and the same worker
+    serves the next session."""
+    closed = threading.Semaphore(0)
+    close = simulharness.service._ThreadedTCPServer.shutdown_request
+
+    def counting(self, request):
+        close(self, request)
+        closed.release()
+
+    monkeypatch.setattr(
+        simulharness.service._ThreadedTCPServer, "shutdown_request", counting
+    )
+    lines = [_hello(k=3), _msg("CHUNK", payload=_block(_DA_ROWS))]
+    with caplog.at_level(logging.INFO, logger="simulharness.service"):
+        sock = socket.create_connection(server.address, timeout=10)
+        sock.sendall(b"".join(
+            (json.dumps(record) + "\n").encode("utf-8") for record in lines
+        ))
+        # a zero linger time makes the close a reset
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        sock.close()
+        assert closed.acquire(timeout=5)
+    assert [(r.levelno, r.getMessage()) for r in caplog.records] == [
+        (logging.INFO, "session s1: connection dropped")
+    ]
+    model = make_model()
+    hyp, _ = stream_utterance(
+        server.address, aligned_utterance(model, ["da", "esel"]),
+        PolicyConfig(k=1), timeout_s=10,
+    )
+    assert list(hyp.words) == model.translate_words(["da", "esel"])
+    assert workers == [workers[0]] * 2
+
+
 def test_a_session_works_on_a_descriptor_above_1024(server):
     """``select`` cannot watch a descriptor numbered 1,024 or above.  With
     1,100 descriptors already open, the session's socket is one of those,

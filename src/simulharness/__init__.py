@@ -18,6 +18,7 @@ from .core import (
     SP_WORD_START,
     Convention,
     Frame,
+    FrameArray,
     Hypothesis,
     ManifestError,
     SubwordToken,

@@ -427,7 +427,7 @@ def make_demo_command(out_dir: Path, n_utts: int, seed: int) -> None:
                     {
                         "id": utterance.id,
                         "frame_ms": utterance.frame_ms,
-                        "frames": utterance.frames,
+                        "frames": list(map(list, utterance.frames)),
                         "transcript": list(utterance.transcript or ()),
                         "reference": list(utterance.reference),
                     }

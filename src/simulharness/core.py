@@ -1,21 +1,24 @@
 """Core domain types for streaming speech translation.
 
 This module defines the vocabulary the rest of the package speaks: feature
-frames and utterances, subword tokens and the two word-boundary conventions,
-hypotheses, and the line-delimited JSON manifest format used to describe
-evaluation corpora.
+frames (an utterance's in one read-only array) and utterances, subword tokens
+and the two word-boundary conventions, hypotheses, and the line-delimited
+JSON manifest format used to describe evaluation corpora.
 """
 
 from __future__ import annotations
 
 import gc
 import json
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 #: Suffix marking "this token continues the current word" (BPE-style).
 BPE_CONTINUATION = "@@"
@@ -65,28 +68,96 @@ _NUMBER_TYPES = frozenset({int, float})
 _BPE_SUFFIX = Convention.BPE_SUFFIX  # a global reads faster than a member
 #: a row of ``float`` values as a Frame, with no call per value
 _as_frame = partial(tuple.__new__, Frame)
+_RAGGED = "all frames in an utterance must share a feature dimension"
 
 
-def frames_from_rows(rows: Sequence) -> tuple[Frame, ...]:
+class FrameArray(Sequence):
+    """Frames as one read-only ``(n_frames, dim)`` float64 array, made from
+    any rows of one width.  It indexes, iterates, compares, hashes and adds
+    as the tuple of :class:`Frame` rows it replaces; ``np.asarray`` returns
+    the array, with no copy.  A slice is a view that keeps its source array
+    and its first row there."""
+
+    __slots__ = ("_rows", "_source", "_start")
+
+    def __new__(cls, frames: Iterable = ()) -> FrameArray:
+        if type(frames) is cls:
+            return frames
+        return frames_from_rows([list(map(float, row)) for row in frames])
+
+    @classmethod
+    def _of(cls, rows: np.ndarray) -> FrameArray:
+        """Frames over float64 ``rows`` that, with any array they view, no
+        one writes again."""
+        rows.flags.writeable = False
+        if isinstance(rows.base, np.ndarray):
+            rows.base.flags.writeable = False
+        return cls._view(rows, 0, len(rows))
+
+    @staticmethod
+    def _view(source: np.ndarray, start: int, stop: int) -> FrameArray:
+        frames = object.__new__(FrameArray)  # rows of a read-only source
+        frames._source, frames._start = source, start
+        frames._rows = source[start:stop]
+        return frames
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy or not (dtype is None or dtype == self._rows.dtype):
+            return np.array(self._rows, dtype)
+        return self._rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, key):
+        if type(key) is not slice:
+            return _as_frame(self._rows[operator.index(key)].tolist())
+        start, stop, step = key.indices(len(self._rows))
+        if step != 1:  # the stepped rows are a source of their own
+            rows = self._rows[key]
+            return FrameArray._view(rows, 0, len(rows))
+        return FrameArray._view(self._source, self._start + start,
+                                self._start + max(start, stop))
+
+    def __iter__(self) -> Iterator[Frame]:
+        return map(_as_frame, self._rows.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, FrameArray)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __add__(self, other: tuple | FrameArray) -> FrameArray:
+        return FrameArray((*self, *other))
+
+    def __reduce__(self):  # a copy, or a pickle, is read-only too
+        return FrameArray._of, (np.array(self._rows),)
+
+
+def frames_from_rows(rows: Sequence) -> FrameArray:
     """Frames from feature rows, as a manifest carries them.
 
     Every row must be a list of numbers, each an ``int`` or a ``float`` (a
-    ``bool`` is not a number here).  Anything else raises ``ValueError``
-    naming the first bad row.  The types of all rows and values are checked
-    at once, at C speed, and rows of floats alone become frames as they are.
+    ``bool`` is not a number here), and all rows one width; else this
+    raises ``ValueError``, naming the first row of a wrong type.  All types
+    are checked at once, at C speed, and one ``np.fromiter`` converts.
     """
     if not (set(map(type, rows)) <= {list}
-            and (types := set(map(type, chain.from_iterable(rows))))
-            <= _NUMBER_TYPES):
+            and set(map(type, chain.from_iterable(rows))) <= _NUMBER_TYPES):
         bad = next(row for row in rows if type(row) is not list
                    or not set(map(type, row)) <= _NUMBER_TYPES)
         raise ValueError(f"{bad!r} is not an array of numbers")
-    if types <= {float}:
-        return tuple(map(_as_frame, rows))
+    if len(set(map(len, rows))) > 1:
+        raise ValueError(_RAGGED)
+    n, width = len(rows), len(rows[0]) if rows else 0
     try:
-        return tuple(map(Frame, rows))
+        values = np.fromiter(chain.from_iterable(rows), float, n * width)
     except OverflowError as exc:  # an int beyond the range of a float
         raise ValueError(str(exc)) from None
+    return FrameArray._of(values.reshape(n, width))
 
 
 @dataclass(frozen=True)
@@ -100,7 +171,7 @@ class Utterance:
     """
 
     id: str
-    frames: tuple[Frame, ...]
+    frames: FrameArray
     frame_ms: int = 10
     transcript: tuple[str, ...] | None = None
     reference: tuple[str, ...] = ()
@@ -109,7 +180,7 @@ class Utterance:
     def __post_init__(self) -> None:
         if not isinstance(self.id, str):
             raise ValueError(f"id must be a str, got {self.id!r}")
-        object.__setattr__(self, "frames", tuple(self.frames))
+        object.__setattr__(self, "frames", FrameArray(self.frames))
         if self.transcript is not None:
             object.__setattr__(self, "transcript", tuple(self.transcript))
         object.__setattr__(self, "reference", tuple(self.reference))
@@ -118,10 +189,6 @@ class Utterance:
                 self, "word_end_frames", tuple(self.word_end_frames)
             )
         check_frame_ms(self.frame_ms)
-        if len(set(map(len, self.frames))) > 1:
-            raise ValueError(
-                "all frames in an utterance must share a feature dimension"
-            )
 
     @property
     def duration_ms(self) -> int:
@@ -306,26 +373,23 @@ def subword_tokens(
 # ---------------------------------------------------------------------------
 
 
-def segment_stream(
-    utterance: Utterance, step_ms: int
-) -> list[tuple[Frame, ...]]:
+def segment_stream(utterance: Utterance, step_ms: int) -> list[FrameArray]:
     """Cut an utterance into read-sized chunks of ``step_ms``.
 
-    The chunks partition the frames in order; only the last chunk may be
-    shorter than the step.  ``step_ms`` must be a positive multiple of the
-    frame duration.
+    The chunks partition the frames in order, each a view of the
+    utterance's array; only the last chunk may be shorter than the step.
+    ``step_ms`` must be a positive multiple of the frame duration.
     """
     return list(_chunks(utterance, step_ms))
 
 
-def _chunks(utterance: Utterance, step_ms: int) -> Iterator[tuple[Frame, ...]]:
+def _chunks(utterance: Utterance, step_ms: int) -> Iterator[FrameArray]:
     """The chunks of :func:`segment_stream`, each cut as it is taken."""
     check_step_ms(step_ms, utterance.frame_ms)
-    frames = utterance.frames
-    if not frames:
-        return iter(())
-    per_chunk = step_ms // utterance.frame_ms
-    return (frames[i : i + per_chunk] for i in range(0, len(frames), per_chunk))
+    frames, per_chunk = utterance.frames, step_ms // utterance.frame_ms
+    source, first, n = frames._source, frames._start, len(frames)
+    return (FrameArray._view(source, first + i, first + min(i + per_chunk, n))
+            for i in range(0, n, per_chunk))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +538,8 @@ def _parse_lines(path: Path, lines: Iterable[bytes]) -> tuple[Utterance, ...]:
             frames = frames_from_rows(raw_frames)
         except ValueError as exc:
             raise ManifestError(
-                f"bad frame row at line {lineno}: {exc}"
+                f"{exc} at line {lineno}" if str(exc) == _RAGGED
+                else f"bad frame row at line {lineno}: {exc}"
             ) from exc
         transcript = record.get("transcript")
         if transcript is not None:

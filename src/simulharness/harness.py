@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .bleu import shared_references
-from .core import Frame, Hypothesis, Utterance, _is_file_name
+from .core import FrameArray, Hypothesis, Utterance, _is_file_name
 from .detection import AdaptiveDetector, CtcPosterior, DetectionKind
 from .metrics import DelaySequence, MetricsReport, aggregate_metrics
 from .model import ModelInterface
@@ -186,14 +186,15 @@ class _Prefix:
     """One source prefix in a :class:`_SharedEncoder`: the model's encoding
     of it, its compute, its word count and the prefixes one chunk longer."""
 
-    __slots__ = ("states", "posterior", "ms", "words", "children")
+    __slots__ = ("states", "posterior", "ms", "words", "children", "source")
 
     def __init__(
         self, states: object, posterior: CtcPosterior | None, ms: float
     ) -> None:
         self.states, self.posterior, self.ms = states, posterior, ms
         self.words: int | None = None
-        self.children: dict[tuple[int, ...], _Prefix] = {}
+        self.children: dict[tuple[int, int, int], _Prefix] = {}
+        self.source: np.ndarray | None = None
 
 
 class _SharedEncoder:
@@ -204,8 +205,9 @@ class _SharedEncoder:
     has only the two calls the engine makes after that.
 
     The encodings form a trie: the root is the empty prefix, and a child
-    extends its parent by one chunk, keyed by the identities of the chunk's
-    frames (unique while the sweep holds the utterances).  The engine gets
+    extends its parent by one chunk, keyed by the identity of the array the
+    chunk's rows lie in and their range there.  The child holds that array,
+    so no other takes its identity while the trie lives.  The engine gets
     the trie node as its encoder states, so a hit needs the whole path to
     match -- never just the model's own states object, which a model may
     return for more than one prefix.  The model must not change a node's
@@ -229,17 +231,19 @@ class _SharedEncoder:
         self._skipped: list[tuple[CtcPosterior, int]] = []
 
     def _read(
-        self, states: _Prefix | None, frames: Sequence[Frame], start: int,
+        self, states: _Prefix | None, frames: FrameArray, start: int,
         detector: AdaptiveDetector | None,
     ) -> tuple[_Prefix, int | None, float]:
         parent = states or self._root
-        key = tuple(map(id, frames[start:]))
+        source, first = frames._source, frames._start
+        key = (id(source), first + start, first + len(frames))
         node = parent.children.get(key)
         if node is None:
             begin = time.perf_counter()
             encoded = self._model.encode_more(parent.states, frames, start)
             ms = (time.perf_counter() - begin) * 1000.0
             node = parent.children[key] = _Prefix(*encoded, ms)
+            node.source = source  # so that no other array takes its id
         if detector is None:
             return node, None, node.ms
         rows = (node.posterior, len(frames) - node.posterior.n_frames)

@@ -1,9 +1,10 @@
 """Incremental encoder-decoder interface, a deterministic mock, and masks.
 
 The engine talks to a model through two calls.  ``encode_more`` brings the
-encoding up to date with a source prefix that has grown by one chunk: it gets
-the encoder states of the shorter prefix and returns new states plus a CTC
-posterior over the source vocabulary for the *tail* of the prefix.  Rows
+encoding up to date with a source prefix that has grown by one chunk (a
+:class:`~simulharness.core.FrameArray`, whose ``np.asarray`` is its rows):
+it gets the encoder states of the shorter prefix and returns new states plus
+a CTC posterior over the source vocabulary for the *tail* of the prefix.  Rows
 before that tail are final, so detection never looks at them again.
 ``decoder_step`` scores the next target token given those states and the
 committed target prefix.  The engine charges the time ``encode_more`` took
@@ -23,7 +24,7 @@ each source word as a run of one-hot frames whose final frame is marked by a
 doubled amplitude; that marker is what lets a lookahead-free encoder emit the
 word id exactly at the word's last frame (and blank everywhere else) without
 peeking at future frames.  Each frame is encoded on its own, so the mock
-encodes only the frames a chunk adds.
+encodes only the array of the rows a chunk adds.
 """
 
 from __future__ import annotations
@@ -33,13 +34,13 @@ import random
 import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import Convention, Frame, Utterance, decode_json, subword_tokens
+from .core import Convention, Frame, FrameArray, Utterance, decode_json
+from .core import subword_tokens
 from .detection import AdaptiveDetector, CtcPosterior
 
 #: Feature amplitude marking the final frame of a word (interior frames
@@ -271,15 +272,15 @@ class LexiconMockModel(ModelInterface):
     ) -> tuple[_MockStates, CtcPosterior]:
         self._sleep()
         vocab_size = len(self._source_vocab)
-        if set(map(len, frames)) - {vocab_size}:
+        try:  # a FrameArray's own array, as it is
+            features = np.asarray(frames)
+            features = features.reshape(len(features), vocab_size)
+        except ValueError:  # rows of another width, or of several
             width = next(n for n in map(len, frames) if n != vocab_size)
             raise ValueError(
                 f"feature dim {width} does not match the "
                 f"source vocabulary size {vocab_size}"
-            )
-        features = np.fromiter(
-            chain.from_iterable(frames), float, len(frames) * vocab_size
-        ).reshape(len(frames), vocab_size)
+            ) from None
         # a row's peak is its max, NaN included (argmax finds the first NaN)
         ids = features.argmax(axis=1)
         index = np.arange(len(frames))
@@ -468,17 +469,17 @@ def build_synthetic_utterance(
             )
         return duration // frame_ms
 
-    frames: list[Frame] = []
+    # each frame's one non-zero channel (0, the blank, in silence) and value
+    channels: list[int] = []
+    gains: list[float] = []
     ends: list[int] = []
-    silence_row = (0.0,) * dim
 
     def add_silence(duration: int) -> None:
         if duration < 0:
             raise ValueError("silence durations must be non-negative")
-        frames.extend(
-            Frame(silence_row)
-            for _ in range(check_multiple(duration, "a silence gap"))
-        )
+        n = check_multiple(duration, "a silence gap")
+        channels.extend([0] * n)
+        gains.extend([0.0] * n)
 
     add_silence(gaps_ms[0])
     touching = None  # the channel of the word before, if no silence follows
@@ -494,21 +495,17 @@ def build_synthetic_utterance(
                 f"one-frame word {word!r} at position {len(ends)} directly "
                 "follows the same word: CTC would merge the two"
             )
-        interior = tuple(
-            1.0 if j == channel else 0.0 for j in range(dim)
-        )
-        final = tuple(
-            BOUNDARY_GAIN if j == channel else 0.0 for j in range(dim)
-        )
-        frames.extend([Frame(interior)] * (n - 1))
-        frames.append(Frame(final))
-        ends.append(len(frames) - 1)
+        channels.extend([channel] * n)
+        gains.extend([1.0] * (n - 1) + [BOUNDARY_GAIN])
+        ends.append(len(channels) - 1)
         add_silence(gap)
         touching = None if gap else channel
 
+    rows = np.zeros((len(channels), dim))
+    rows[np.arange(len(channels)), channels] = gains
     return Utterance(
         id=utt_id,
-        frames=tuple(frames),
+        frames=FrameArray._of(rows),
         frame_ms=frame_ms,
         transcript=tuple(words),
         reference=tuple(reference),

@@ -1,12 +1,14 @@
 """Wait-k READ/WRITE decision engine over incremental models.
 
 The engine alternates two actions.  READ consumes the next fixed-duration
-chunk of source frames and has the model encode what the chunk added
-(``encode_more``); adaptive detection then collapses only the posterior rows
-the model returned.  WRITE asks the decoder for tokens until one more
-complete target word exists and ends in one of three ways: a word, a READ
-forced by a premature EOS, or the end of the target (EOS, or the per-word
-token budget), which emits the word a trailing partial resolves to, if any.
+chunk of source frames (the prefix grows in place when the chunk holds the
+next rows of its array, as an utterance's chunks do) and has the model encode
+what the chunk added (``encode_more``); adaptive detection then collapses
+only the posterior rows the model returned.  WRITE asks the decoder for
+tokens until one more complete target word exists and ends in one of three
+ways: a word, a READ forced by a premature EOS, or the end of the target
+(EOS, or the per-word token budget), which emits the word a trailing partial
+resolves to, if any.
 Each word is logged with when it happened -- both in source time (how much
 audio had been read) and on a wall clock that adds the model compute time
 accumulated so far, so computation-aware delays dominate ideal ones by
@@ -49,6 +51,7 @@ import numpy as np
 from .core import (
     Convention,
     Frame,
+    FrameArray,
     Hypothesis,
     SubwordToken,
     Utterance,
@@ -69,6 +72,8 @@ WAIT_FOREVER = 10**9
 
 #: Hard ceiling on decoder steps per word, guarding non-terminating decoders.
 MAX_TOKENS_PER_WORD = 256
+
+_NO_FRAMES = FrameArray()  # every engine's source prefix before its first READ
 
 #: the type each typed setting must have exactly (``bool`` is no ``int``)
 _FIELD_TYPES = {
@@ -248,7 +253,8 @@ class SimulEngine:
         self._complete_tokens = 0  # tokens up to the last complete word's end
         self._frame_ms = frame_ms
         self._cap = config.max_target_words or default_max_target_words()
-        self._frames: list[Frame] = []
+        self._frames = _NO_FRAMES  # the source prefix read so far
+        self._buffer: np.ndarray | None = None  # read-only; see _extended
         self._state = SimulState()
         self._encoder_states: object | None = None
         self._detector = (
@@ -307,13 +313,13 @@ class SimulEngine:
             raise RuntimeError("utterance already finished")
         if self._state.source_finished:
             raise RuntimeError("source already finished")
-        frames = list(frames)
-        if not frames:
+        n = len(frames)
+        if not n:
             raise ValueError("a chunk must contain at least one frame")
         start_ms = self._state.received_ms
         start = len(self._frames)
-        self._frames.extend(frames)
-        self._state.received_ms += len(frames) * self._frame_ms
+        self._frames = self._extended(frames)
+        self._state.received_ms += n * self._frame_ms
         self._refresh_detection(start)
         self._events.append(
             Event(
@@ -324,6 +330,27 @@ class SimulEngine:
             )
         )
         return self._drain_writes()
+
+    def _extended(self, frames: Sequence[Frame]) -> FrameArray:
+        """The prefix and then ``frames``: a longer view of the prefix's
+        array if ``frames`` are its next rows, else a copy in a buffer of
+        the engine's own, which doubles when full and is seen read-only."""
+        prefix, start = self._frames, len(self._frames)
+        source, first = prefix._source, prefix._start
+        if type(frames) is FrameArray and frames._source is source \
+                and frames._start == first + start:
+            return FrameArray._view(source, first, first + start + len(frames))
+        rows = FrameArray(frames)
+        if not start:
+            return rows
+        stop = start + len(rows)
+        if source is not self._buffer or len(source) < stop:
+            owner = np.empty((2 * stop, np.shape(prefix)[1]))
+            owner[:start] = prefix
+            self._buffer = owner.view()
+            self._buffer.flags.writeable = False
+        self._buffer.base[start:stop] = rows
+        return FrameArray._view(self._buffer, 0, stop)
 
     def finish_source(self) -> list[Event]:
         """Mark the source complete and WRITE out the rest of the target.

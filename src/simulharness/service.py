@@ -20,7 +20,8 @@ Every message is one JSON object per line with fields ``kind``, ``session``,
 ``payload``, ``t_client_ms`` and ``t_server_ms``; only a WORD's
 ``t_server_ms`` is set, and every other stamp is null.
 A CHUNK payload is ``{"dim": D, "f64": S}``, ``S`` being the base64 of its
-frames' values as little-endian float64, ``D`` to a row: bit for bit.
+frames' values as little-endian float64, ``D`` to a row: bit for bit.  The
+server reads a CHUNK's frames as one array over the decoded bytes.
 
 Timing: a WORD carries the engine's source-time delay, so ideal latency
 metrics reproduce a local run exactly, and its ``t_server_ms`` is the
@@ -45,17 +46,17 @@ import queue
 import selectors
 import socket
 import socketserver
-import struct
 import sys
 import threading
 import time
 import uuid
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence
 
-from .core import Convention, Frame, Hypothesis, SubwordToken, Utterance
-from .core import _as_frame, _chunks, decode_json
+import numpy as np
+
+from .core import Convention, Frame, FrameArray, Hypothesis, SubwordToken
+from .core import Utterance, _chunks, decode_json
 from .harness import CorpusResult, score_corpus
 from .model import ModelInterface
 from .policy import PolicyConfig, SimulEngine, SimulRunError
@@ -160,12 +161,12 @@ def _reply(line: bytes) -> WireMessage:
 
 def _chunk_payload(frames: Sequence[Frame]) -> dict:
     """A CHUNK payload: the frames' width and their values as one block."""
-    dim = len(frames[0])
-    data = struct.pack(f"<{len(frames) * dim}d", *chain.from_iterable(frames))
-    return {"dim": dim, "f64": base64.b64encode(data).decode("ascii")}
+    rows = np.asarray(frames, float)
+    data = base64.b64encode(rows.astype("<f8", copy=False).tobytes())
+    return {"dim": rows.shape[1], "f64": data.decode("ascii")}
 
 
-def _chunk_frames(payload: object) -> tuple[Frame, ...]:
+def _chunk_frames(payload: object) -> FrameArray:
     """The frames of a CHUNK payload; ``ValueError`` says what is wrong."""
     if not isinstance(payload, dict) or not payload.get("f64"):
         raise ValueError("CHUNK carries no frames")
@@ -180,7 +181,7 @@ def _chunk_frames(payload: object) -> tuple[Frame, ...]:
         raise ValueError(
             f"CHUNK f64 holds {len(data)} bytes, not rows of {dim} float64s"
         )
-    return tuple(map(_as_frame, struct.iter_unpack(f"<{dim}d", data)))
+    return FrameArray._of(np.frombuffer(data, "<f8").reshape(-1, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
 
     def _chunks(
         self, messages: Iterator[WireMessage]
-    ) -> Iterator[tuple[Frame, ...]]:
+    ) -> Iterator[FrameArray]:
         """The frames of each CHUNK up to EOS_SRC, all of one width."""
         widths: set[int] = set()
         for message in messages:
@@ -290,7 +291,7 @@ class _SessionHandler(socketserver.StreamRequestHandler):
                 frames = _chunk_frames(message.payload)
             except ValueError as exc:
                 raise _SessionError(f"protocol: {exc}") from None
-            widths.add(len(frames[0]))
+            widths.add(message.payload["dim"])
             if len(widths) > 1:
                 raise _SessionError(
                     "protocol: all frames in a session must share a feature "

@@ -4,7 +4,10 @@ import copy
 import gc
 import json
 import pickle
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -13,6 +16,7 @@ from helpers import bpe, sp
 from simulharness import (
     Convention,
     Frame,
+    FrameArray,
     Hypothesis,
     ManifestError,
     SubwordToken,
@@ -527,3 +531,75 @@ def test_a_load_leaves_the_callers_collector_setting_as_it_was(
 def test_subword_token_is_hashable_value_object():
     assert bpe("a") == SubwordToken("a", Convention.BPE_SUFFIX)
     assert len({bpe("a"), bpe("a"), sp("a")}) == 2
+
+
+# ---------------------------------------------------------------------------
+# FrameArray: one array, read as the tuple of frames it replaces
+# ---------------------------------------------------------------------------
+
+#: a JSON number of a manifest row: any finite float, or an int
+_NUMBER = st.floats(allow_nan=False, allow_infinity=False) | st.integers(
+    -(2**80), 2**80)
+_ROWS = st.integers(0, 4).flatmap(lambda dim: st.lists(
+    st.lists(_NUMBER, min_size=dim, max_size=dim), max_size=8))
+
+
+@given(rows=_ROWS, other=_ROWS, index=st.integers(-10, 10),
+       key=st.slices(10))
+def test_a_frame_array_behaves_as_the_tuple_of_its_frames(
+    rows, other, index, key
+):
+    frames, as_tuple = frames_from_rows(rows), tuple(map(Frame, rows))
+    assert type(frames) is FrameArray
+    assert len(frames) == len(as_tuple)
+    if -len(as_tuple) <= index < len(as_tuple):
+        assert type(frames[index]) is Frame
+        assert frames[index] == as_tuple[index]
+    else:
+        with pytest.raises(IndexError):
+            frames[index]
+    # steps, negative bounds and empty ranges, each a view of the rows
+    part = frames[key]
+    assert type(part) is FrameArray
+    assert part == as_tuple[key] and tuple(part) == as_tuple[key]
+    if np.asarray(part).size:
+        assert np.shares_memory(np.asarray(part), np.asarray(frames))
+    assert all(type(f) is Frame for f in frames)
+    assert list(frames) == list(as_tuple)
+    assert frames == as_tuple and as_tuple == frames
+    assert not frames != as_tuple and frames == frames_from_rows(rows)
+    assert hash(frames) == hash(as_tuple)
+    others = (frames_from_rows(other), tuple(map(Frame, other)))
+    widths = {len(row) for row in rows + other}
+    for left, right in ((frames, others[0]), (frames, others[1])):
+        if len(widths) > 1:
+            with pytest.raises(ValueError, match="feature dimension"):
+                left + right
+        else:
+            total = left + right
+            assert type(total) is FrameArray
+            assert total == as_tuple + others[1]
+    # the array itself, with no copy, and no one may write it
+    array = np.asarray(frames)
+    assert np.asarray(frames) is array and np.asarray(frames, float) is array
+    assert not array.flags.writeable
+    assert array.shape == (len(rows), len(rows[0]) if rows else 0)
+    with pytest.raises(ValueError):
+        array.flags.writeable = True
+    for copied in (pickle.loads(pickle.dumps(frames)), copy.deepcopy(frames)):
+        assert type(copied) is FrameArray and copied == frames
+        assert not np.asarray(copied).flags.writeable
+
+
+@given(rows=_ROWS.filter(bool))
+def test_a_manifest_loads_rows_bit_for_bit_as_numpy_converts_them(rows):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.jsonl"
+        path.write_text(json.dumps(
+            {"id": "u", "frame_ms": 10, "frames": rows, "reference": ["x"]}
+        ) + "\n", encoding="utf-8")
+        (utterance,) = load_manifest(path)
+    loaded, expected = np.asarray(utterance.frames), np.array(rows, float)
+    assert loaded.dtype == np.float64
+    assert loaded.shape == expected.shape
+    assert loaded.tobytes() == expected.tobytes()

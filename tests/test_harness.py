@@ -368,6 +368,24 @@ def test_a_sweep_encodes_each_chunk_once_per_repeat():
     assert model.encodes == 2 * n_chunks * spec.runs_per_point
 
 
+def test_a_sweep_keys_its_encodings_on_identity_not_content():
+    """Utterances with equal rows, and one whose chunks each equal
+    another's, are still each encoded once per repeat: a chunk is known by
+    the array it lies in and its rows there, not by its values."""
+    model = _CountingModel()
+    twin = aligned_utterance(model, ["da", "esel", "da"], utt_id="a")
+    utts = [twin, aligned_utterance(model, ["da", "esel", "da"], utt_id="b"),
+            Utterance("c", twin.frames[:28] + twin.frames,
+                      reference=("there",) + twin.reference)]
+    assert utts[0].frames == utts[1].frames
+    step_ms = SweepSpec().base_config.step_ms
+    n_chunks = sum(len(segment_stream(u, step_ms)) for u in utts)
+    spec = SweepSpec(k_values=(1, 2, 5), runs_per_point=2)
+    points = sweep(utts, model, spec)
+    assert model.encodes == n_chunks * spec.runs_per_point
+    assert all(p.bleu == pytest.approx(100.0) for p in points)
+
+
 @pytest.mark.parametrize("runs_per_point", [1, 2])
 def test_a_sweep_scores_each_reference_once_per_call(
     monkeypatch, runs_per_point

@@ -24,6 +24,7 @@ from simulharness import (
     CtcPosterior,
     DetectionKind,
     Event,
+    FrameArray,
     Hypothesis,
     LexiconMockModel,
     ModelInterface,
@@ -33,6 +34,7 @@ from simulharness import (
     SimulState,
     SubwordToken,
     decide,
+    evaluate_corpus,
     read_event_log,
     run_simultaneous,
     segment_stream,
@@ -670,3 +672,98 @@ def test_wait_forever_reads_everything_first():
     assert hyp.words == offline.words
     assert all(d == utt.duration_ms for d in hyp.ideal_delays_ms)
     assert (hyp.tokens, hyp.words) == oracle_offline(model, utt)
+
+
+# ---------------------------------------------------------------------------
+# The source prefix: read in place, or copied
+# ---------------------------------------------------------------------------
+
+
+class _SeeingModel(LexiconMockModel):
+    """The tiny mock, keeping every prefix and tail it is asked to encode."""
+
+    def __init__(self) -> None:
+        super().__init__(TINY_LEXICON)
+        self.seen = []
+
+    def encode_prefix(self, frames):
+        self.seen.append(frames)
+        return super().encode_prefix(frames)
+
+    def encode_more(self, states, frames, start):
+        self.seen.append(frames)
+        return super().encode_more(states, frames, start)
+
+
+def _outputs(hypothesis, events):
+    return (hypothesis.tokens, hypothesis.words, hypothesis.ideal_delays_ms,
+            [(e.kind, e.payload, e.ideal_ms) for e in events])
+
+
+def _engine_outputs(engine, chunks):
+    for _writes in engine.run(chunks):
+        pass
+    return _outputs(*engine.result())
+
+
+@pytest.mark.parametrize("step_ms", [10, 280, 700])
+@pytest.mark.parametrize("detection", ["fixed", "adaptive"])
+def test_the_engine_reads_the_utterance_in_place(step_ms, detection):
+    """Every prefix a model gets is a view of the utterance's own array.
+    Chunks that are lists of frames, or arrays of their own, are copied
+    into the engine's buffer instead, and the run is the same."""
+    utt = aligned_utterance(
+        make_model(), ["da", "esel", "geht", "haus"], gaps_ms=[0, 280, 0, 0, 0]
+    )
+    config = PolicyConfig(k=2, detection=detection, step_ms=step_ms)
+    model = _SeeingModel()
+    in_place = _outputs(*run_simultaneous(model, utt, config))
+    source = np.asarray(utt.frames)
+    assert model.seen and all(
+        np.shares_memory(np.asarray(frames), source) for frames in model.seen
+    )
+    chunkings = {
+        "lists": [list(chunk) for chunk in segment_stream(utt, step_ms)],
+        "arrays": [FrameArray(tuple(chunk))
+                   for chunk in segment_stream(utt, step_ms)],
+        "mixed": [chunk if i % 2 else list(chunk)
+                  for i, chunk in enumerate(segment_stream(utt, step_ms))],
+    }
+    for chunks in chunkings.values():
+        model = _SeeingModel()
+        copied = _engine_outputs(
+            SimulEngine(model, config.for_utterance(utt)), chunks)
+        assert copied == in_place
+        prefixes = model.seen[::2]  # each encode_more, then its tail
+        assert [len(p) for p in prefixes] == [
+            min(len(utt.frames), n * step_ms // 10)
+            for n in range(1, len(prefixes) + 1)
+        ]
+        for prefix in prefixes:
+            assert prefix == utt.frames[:len(prefix)]
+            assert not np.asarray(prefix).flags.writeable
+            assert not np.shares_memory(np.asarray(prefix), source)
+
+
+@pytest.mark.parametrize("unlock", [False, True])
+def test_a_model_that_writes_its_frames_fails_its_own_utterance(unlock):
+    class Writer(LexiconMockModel):
+        def encode_more(self, states, frames, start):
+            rows = np.asarray(frames)
+            if rows[:, self.source_word_index["haus"]].any():
+                if unlock:
+                    rows.flags.writeable = True
+                rows[:] = 0.0
+            return super().encode_more(states, frames, start)
+
+    model = Writer(TINY_LEXICON)
+    utts = [aligned_utterance(model, ["da", "haus"], utt_id="haus"),
+            aligned_utterance(model, ["da", "esel"], utt_id="esel")]
+    before = [np.array(u.frames) for u in utts]
+    result = evaluate_corpus(utts, model, PolicyConfig(k=1))
+    assert result.failures == ("haus",)
+    assert "WRITEABLE" in result.results[0].error or \
+        "read-only" in result.results[0].error
+    assert result.results[1].hypothesis.words == ("there", "donkey")
+    for utt, rows in zip(utts, before):
+        assert np.array_equal(np.asarray(utt.frames), rows)

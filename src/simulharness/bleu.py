@@ -34,8 +34,8 @@ from typing import Sequence
 MAX_NGRAM_ORDER = 4
 
 _LOG_FLOOR = -9999999999.0
-#: the open :func:`shared_references` block's memo: each reference line's
-#: 13a length and n-gram counts
+#: the open :func:`shared_references` block's memo: each reference line's 13a
+#: length, n-gram counts and each hypothesis line's :func:`_segment_stats`
 _references: ContextVar[dict] = ContextVar("references")
 
 
@@ -81,9 +81,22 @@ def _ngram_counts(tokens: Sequence[str]) -> Counter:
     ))
 
 
+def _segment_stats(hyp: Sequence[str], ref_len: int,
+                   ref_counts: Counter) -> tuple[int, ...]:
+    """A segment's hypothesis and reference lengths, then its clipped
+    matches and its n-gram totals, one per order."""
+    correct = [0] * MAX_NGRAM_ORDER
+    for ngram, count in _ngram_counts(hyp).items():
+        if most := ref_counts.get(ngram):  # a stored count is never 0
+            correct[len(ngram) - 1] += count if count < most else most
+    return (len(hyp), ref_len, *correct,
+            *(max(len(hyp) - n, 0) for n in range(MAX_NGRAM_ORDER)))
+
+
 @contextmanager
 def shared_references():
-    """Tokenize and count each reference once in the block's BLEU calls."""
+    """Tokenize and count each reference, and each hypothesis once per
+    reference it is scored against, once in the block's BLEU calls."""
     token = _references.set({})
     try:
         yield
@@ -108,23 +121,20 @@ def corpus_bleu(
     if not hypotheses:
         raise ValueError("BLEU of an empty corpus is undefined")
 
-    correct = [0] * MAX_NGRAM_ORDER
-    total = [0] * MAX_NGRAM_ORDER
-    sys_len = 0
-    ref_len = 0
     memo = _references.get({})
+    rows = []
     for hyp_words, ref_words in zip(hypotheses, references):
-        hyp = tokenize_13a(" ".join(hyp_words))
-        if (line := " ".join(ref_words)) not in memo:
-            ref = tokenize_13a(line)
-            memo[line] = len(ref), _ngram_counts(ref)
-        length, ref_counts = memo[line]
-        sys_len += len(hyp)
-        ref_len += length
-        for ngram, count in _ngram_counts(hyp).items():
-            order = len(ngram)
-            total[order - 1] += count
-            correct[order - 1] += min(count, ref_counts.get(ngram, 0))
+        ref_line, hyp_line = " ".join(ref_words), " ".join(hyp_words)
+        if (entry := memo.get(ref_line)) is None:
+            ref = tokenize_13a(ref_line)
+            entry = memo[ref_line] = len(ref), _ngram_counts(ref), {}
+        ref_len, ref_counts, segments = entry
+        if (row := segments.get(hyp_line)) is None:
+            row = segments[hyp_line] = _segment_stats(
+                tokenize_13a(hyp_line), ref_len, ref_counts)
+        rows.append(row)
+    sys_len, ref_len, *counts = map(sum, zip(*rows))
+    correct, total = counts[:MAX_NGRAM_ORDER], counts[MAX_NGRAM_ORDER:]
 
     precisions = [0.0] * MAX_NGRAM_ORDER
     smooth = 1.0

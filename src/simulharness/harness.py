@@ -294,8 +294,10 @@ def sweep(
     corpus until its last point.  For a model whose states or posterior
     cover the whole prefix, as with the default ``encode_more``, that is
     quadratic in utterance length.  One repeat's encodings are alive at a
-    time, and nothing outlives the call.  A call scores each reference once:
-    the first point to score it tokenizes and counts it for BLEU.
+    time, and nothing outlives the call.  A call scores each BLEU segment
+    once: it counts each reference, and each hypothesis once per reference,
+    the first time a point meets it; a later point that repeats the pair
+    adds up the sums kept, and one that writes a new hypothesis counts it.
     """
     utterances = list(utterances)
     per_run: list[list[CurvePoint]] = []

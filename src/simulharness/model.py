@@ -59,9 +59,10 @@ class ModelInterface(ABC):
     posterior covers the last ``posterior.n_frames`` frames of the prefix it
     was computed for.  Rows before those are final: the engine never looks
     at them again, so a model that revises rows as more audio arrives
-    (lookahead) must return them again.  One evaluation thread calls a model
-    at a time; one model may serve many utterances, so per-utterance state
-    belongs in the encoder states, not on the model.
+    (lookahead) must return them again.  Every engine step in the process
+    holds one lock, so a model serves one step at a time, even to a server's
+    concurrent sessions.  One model may serve many utterances, so
+    per-utterance state belongs in the encoder states, not on the model.
     """
 
     @property

@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import json
 import logging
+import threading
 from time import perf_counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,7 @@ WAIT_FOREVER = 10**9
 MAX_TOKENS_PER_WORD = 256
 
 _NO_FRAMES = FrameArray()  # every engine's source prefix before its first READ
+_STEP_LOCK = threading.Lock()  # held by every engine step; see _step
 
 #: the type each typed setting must have exactly (``bool`` is no ``int``)
 _FIELD_TYPES = {
@@ -186,8 +188,7 @@ class SimulState:
     target_token_ids: list[int] = field(default_factory=list)
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
     """One logged action: a READ of a chunk span or a WRITE of a word."""
 
     kind: ActionKind
@@ -196,7 +197,7 @@ class Event:
     wall_ms: float
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "kind": self.kind.value}
+        return {**self._asdict(), "kind": self.kind.value}
 
     @classmethod
     def from_dict(cls, data: dict) -> "Event":
@@ -298,11 +299,15 @@ class SimulEngine:
         yield self._step(self.finish_source)
 
     def _step(self, action, *args) -> list[Event]:
-        # a collection inside a timed model call would count as compute
+        """``action(*args)`` under the step lock, so models serve one step at
+        a time, with the collector off, so timed calls pay no collection."""
+        _STEP_LOCK.acquire()  # half the cost per step of a ``with`` block
         try:
             return _collector_held_off(action, args)
         except Exception as exc:
             raise SimulRunError(str(exc), events=self._events) from exc
+        finally:
+            _STEP_LOCK.release()
 
     def push_chunk(self, frames: Sequence[Frame]) -> list[Event]:
         """READ one chunk of frames, then WRITE whatever became due.

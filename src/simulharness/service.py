@@ -87,6 +87,11 @@ _POLL_S = 0.05
 _MAX_WAIT_S = 86400.0  #: a day, the client's longest single selector wait
 _MAX_SESSIONS = 64  #: a server's sessions at once; one more gets an ERROR
 _READ_WRITE = selectors.EVENT_READ | selectors.EVENT_WRITE
+#: the longest reply line the client buffers: an EOS_TGT at the default cap
+#: of a 1,000-word source (2,016 words) of 256 tokens each, a token taking
+#: 32 bytes of JSON: quotes, comma, space and a 28-byte surface (28 ASCII
+#: characters; JSON escapes each non-ASCII one as 6 bytes, so 4 take 24)
+_MAX_REPLY_BYTES = 1 << 24
 
 _yield_cpu = getattr(os, "sched_yield", lambda: None)  # Unix only
 
@@ -365,7 +370,10 @@ class StreamTranslationServer:
     Each session runs on a daemon worker that an earlier session left idle;
     past :data:`_MAX_SESSIONS` at once, a connection gets one ERROR.  Every
     session runs on the given model, which must therefore keep no
-    per-utterance state of its own (the engine holds it).
+    per-utterance state of its own (the engine holds it).  Sessions take
+    turns step by step under the engine's step lock, which none holds while
+    it reads or sends a line; a session's computation-aware delays charge
+    no other session's compute.
     """
 
     def __init__(
@@ -481,6 +489,9 @@ def stream_utterance(
                     if not data:
                         raise ServiceError("connection closed before EOS_TGT")
                     *lines, pending = (pending + data).split(b"\n")
+                    if len(pending) > _MAX_REPLY_BYTES:
+                        raise ServiceError(
+                            f"a reply line over {_MAX_REPLY_BYTES} bytes")
                     for line in lines:
                         message = _reply(line + b"\n")  # as sent
                         if message.kind == KIND_ERROR:

@@ -1,6 +1,19 @@
 from __future__ import annotations
 
+import warnings
+
 from hypothesis import HealthCheck, settings
+
+# Hypothesis imports this module to report a failing example, and its libcst
+# import warns about mypy_extensions.TypedDict.  Under ``-W error`` that
+# warning would end the run without the example; once imported here, with
+# the warning ignored for this import alone, it is not imported again.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass  # libcst is missing: Hypothesis reports without it
 
 # Property tests exercise sleep-free code, but the sandbox machine can stall
 # arbitrarily; wall-clock deadlines would only add flakes.

@@ -202,14 +202,18 @@ def test_bleu_identity_shorter_than_the_ngram_order_scores_zero():
 
 @given(data=st.data())
 def test_shared_references_score_bit_for_bit_as_plain_calls(data):
-    """Points drawn over one reference pool, scored inside one block, give
-    the plain calls' scores exactly, cold or warm: references repeat within
-    and across points, and hypotheses equal, differ from or miss them."""
+    """Points drawn over one reference pool and one hypothesis pool, scored
+    inside one block, give the plain calls' scores exactly, cold or warm:
+    references repeat within and across points, and so do the hypotheses
+    scored against each, which equal, differ from or miss them.  The memo
+    keeps one entry per reference line, holding each hypothesis line scored
+    against it."""
     pool = data.draw(st.lists(_sentence, min_size=1, max_size=3))
+    hyp_pool = data.draw(st.lists(_sentence, min_size=1, max_size=3))
     index = st.integers(0, len(pool) - 1)
+    hyp = st.none() | st.just([]) | st.sampled_from(hyp_pool) | _sentence
     points = data.draw(st.lists(
-        st.lists(st.tuples(index, st.none() | st.just([]) | _sentence),
-                 min_size=1, max_size=6),
+        st.lists(st.tuples(index, hyp), min_size=1, max_size=6),
         min_size=1, max_size=4,
     ))
     scored = []
@@ -218,8 +222,15 @@ def test_shared_references_score_bit_for_bit_as_plain_calls(data):
         hyps = [pool[i] if hyp is None else hyp for i, hyp in point]
         scored.append((hyps, refs, corpus_bleu(hyps, refs)))
     with simulharness.bleu.shared_references():
-        for hyps, refs, plain in scored * 2:
+        for hyps, refs, plain in scored + scored[::-1]:
             assert corpus_bleu(hyps, refs) == plain
+        memo = simulharness.bleu._references.get()
+    segments = {}
+    for hyps, refs, _ in scored:
+        for hyp_words, ref_words in zip(hyps, refs):
+            segments.setdefault(" ".join(ref_words), set()).add(
+                " ".join(hyp_words))
+    assert {line: set(entry[2]) for line, entry in memo.items()} == segments
 
 
 def test_shared_references_are_scoped_to_the_block_and_its_thread():

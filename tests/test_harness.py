@@ -391,7 +391,8 @@ def test_a_sweep_scores_each_reference_once_per_call(
     monkeypatch, runs_per_point
 ):
     """13a tokenizes each distinct reference once per sweep, and each
-    scored hypothesis at every point of every repeat."""
+    distinct hypothesis once per reference it is scored against, whatever
+    the points and repeats that score it."""
     model = make_model()
     utts = _corpus(model, n_utts=3, n_words=4)
     utts += [replace(utts[0], id="twin"),  # a repeated reference
@@ -404,12 +405,16 @@ def test_a_sweep_scores_each_reference_once_per_call(
         return tokenize(line)
 
     monkeypatch.setattr(bleu, "tokenize_13a", counting)
-    spec = SweepSpec(k_values=(1, 3), runs_per_point=runs_per_point)
-    n_refs, n_scored = 3, 4
-    once = n_refs + runs_per_point * len(spec.grid) * n_scored
+    # a premature EOS ends the target: fixed k=1 writes one word, fixed k=3
+    # two, and adaptive detection all four
+    base = PolicyConfig(force_finish=False, avg_word_ms=100)
+    spec = SweepSpec(k_values=(1, 3), runs_per_point=runs_per_point,
+                     base_config=base)
+    n_refs, n_hyps = 3, 3  # distinct hypotheses per reference
+    once = n_refs + n_refs * n_hyps
     sweep(utts, model, spec)
     assert len(lines) == once
-    # a second sweep tokenizes its references again
+    # a second sweep tokenizes its segments again
     sweep(utts, model, spec)
     assert len(lines) == 2 * once
 

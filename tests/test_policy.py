@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import types
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import simulharness.core as core_module
+import simulharness.model as model_module
 import simulharness.policy as policy_module
 from helpers import (
     EXPANDING_LEXICON,
@@ -530,6 +533,47 @@ def test_event_log_structure_and_round_trip(tmp_path):
     assert read_event_log(path) == list(events)
 
 
+#: the log of :func:`test_an_event_log_is_byte_for_byte_stable`'s run, as
+#: the frozen-dataclass ``Event`` wrote it: a stepping clock makes each timed
+#: call last 2**-10 s, so every wall time is exact
+_FIXED_RUN_LOG = """\
+{"kind": "READ", "payload": {"start_ms": 0, "end_ms": 280}, "ideal_ms": 280, "wall_ms": 280.9765625}
+{"kind": "READ", "payload": {"start_ms": 280, "end_ms": 560}, "ideal_ms": 560, "wall_ms": 561.953125}
+{"kind": "WRITE", "payload": "over", "ideal_ms": 560, "wall_ms": 562.9296875}
+{"kind": "READ", "payload": {"start_ms": 560, "end_ms": 840}, "ideal_ms": 840, "wall_ms": 843.90625}
+{"kind": "WRITE", "payload": "there", "ideal_ms": 840, "wall_ms": 844.8828125}
+{"kind": "WRITE", "payload": "donkey", "ideal_ms": 840, "wall_ms": 845.859375}
+{"kind": "WRITE", "payload": "goes", "ideal_ms": 840, "wall_ms": 846.8359375}
+{"kind": "WRITE", "payload": "on", "ideal_ms": 840, "wall_ms": 847.8125}
+{"error": "decoder table out of range"}
+"""
+
+
+def test_an_event_log_is_byte_for_byte_stable(tmp_path, monkeypatch):
+    ticks = itertools.count()
+
+    def clock():
+        return next(ticks) * 2.0 ** -10
+
+    monkeypatch.setattr(policy_module, "perf_counter", clock)
+    monkeypatch.setattr(model_module, "time",
+                        types.SimpleNamespace(perf_counter=clock))
+    model = make_model(EXPANDING_LEXICON)
+    utt = aligned_utterance(model, ["da", "esel", "geht"])
+    _hyp, events = run_simultaneous(model, utt, PolicyConfig(k=2))
+    path = tmp_path / "run.jsonl"
+    write_event_log(path, events, error="decoder table out of range")
+    assert path.read_bytes() == _FIXED_RUN_LOG.encode("utf-8")
+
+
+def test_an_event_is_immutable():
+    event = Event(ActionKind.WRITE, "there", 560, 562.5)
+    for name in Event._fields:
+        with pytest.raises(AttributeError):
+            setattr(event, name, None)
+    assert event == Event(ActionKind.WRITE, "there", 560, 562.5)
+
+
 @pytest.mark.parametrize(
     "line, complaint",
     [
@@ -639,6 +683,16 @@ def test_model_failure_is_wrapped_with_partial_events():
         run_simultaneous(model, utt, PolicyConfig(k=1))
     # the first chunk (28 frames) was read before the failure
     assert any(e.kind is ActionKind.READ for e in info.value.events)
+
+
+def test_a_failed_step_releases_the_step_lock():
+    inner = make_model()
+    utt = aligned_utterance(inner, ["da", "esel", "geht"])
+    with pytest.raises(SimulRunError, match="encoder state corrupted"):
+        run_simultaneous(_FailsAfterThirtyFrames(), utt, PolicyConfig(k=1))
+    assert not policy_module._STEP_LOCK.locked()
+    hyp, _ = run_simultaneous(inner, utt, PolicyConfig(k=1))
+    assert list(hyp.words) == inner.translate_words(["da", "esel", "geht"])
 
 
 def test_sp_wait1_survives_the_eos_pressure_corner():

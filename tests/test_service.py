@@ -23,6 +23,7 @@ import simulharness
 
 from helpers import (
     EXPANDING_LEXICON,
+    TINY_LEXICON,
     DecoderFailsOnHaus,
     aligned_utterance,
     make_model,
@@ -30,6 +31,7 @@ from helpers import (
 from simulharness import (
     DelaySequence,
     Frame,
+    LexiconMockModel,
     PolicyConfig,
     ServiceError,
     SimulEngine,
@@ -782,6 +784,65 @@ def test_concurrent_sessions_stay_isolated(server):
     }
 
 
+class _InFlightModel(LexiconMockModel):
+    """The tiny mock, counting its calls in flight; each call sleeps 1 ms,
+    so calls from sessions that overlap would overlap too."""
+
+    def __init__(self) -> None:
+        super().__init__(TINY_LEXICON)
+        self._count_lock = threading.Lock()
+        self.in_flight = self.most_in_flight = 0
+
+    def _counted(self, call, *args):
+        with self._count_lock:
+            self.in_flight += 1
+            self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        try:
+            time.sleep(0.001)
+            return call(*args)
+        finally:
+            with self._count_lock:
+                self.in_flight -= 1
+
+    def encode_more(self, states, frames, start):
+        return self._counted(super().encode_more, states, frames, start)
+
+    def decoder_step(self, states, target_prefix_ids):
+        return self._counted(super().decoder_step, states, target_prefix_ids)
+
+
+def test_a_server_calls_its_model_one_step_at_a_time():
+    """Four sessions at once never have two model calls in flight, and each
+    gives the words, tokens and ideal delays of a local run."""
+    model = _InFlightModel()
+    vocab = model.source_words
+    utts = [aligned_utterance(model, [vocab[(i + j) % len(vocab)]
+                                      for j in range(6)], utt_id=f"s{i}")
+            for i in range(4)]
+    config = PolicyConfig(k=2, detection="adaptive")
+    start = threading.Barrier(len(utts))
+    remote = {}
+
+    def run(utt):
+        start.wait(timeout=10)
+        remote[utt.id] = stream_utterance(handle.address, utt, config,
+                                          timeout_s=10)[0]
+
+    with StreamTranslationServer(model) as handle:
+        threads = [threading.Thread(target=run, args=(utt,)) for utt in utts]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    assert model.most_in_flight == 1
+    assert sorted(remote) == [utt.id for utt in utts]
+    for utt in utts:
+        local, _ = run_simultaneous(model, utt, config)
+        hyp = remote[utt.id]
+        assert (hyp.words, hyp.tokens, hyp.ideal_delays_ms) == (
+            local.words, local.tokens, local.ideal_delays_ms)
+
+
 # ---------------------------------------------------------------------------
 # Session workers and the session cap
 # ---------------------------------------------------------------------------
@@ -835,9 +896,14 @@ def test_a_handler_that_raises_frees_its_worker_for_the_next_session(
 ):
     """An exception out of a session's handler is the server's to report:
     that client gets one ``internal:`` ERROR, the module logs the
-    traceback, and the worker serves the next session."""
+    traceback, and the worker serves the next session.  The client raises
+    on the ERROR line, which the worker sends before it is free, so the
+    next session waits for the close, as in
+    :func:`test_sequential_sessions_run_on_one_worker`."""
     seen: list[threading.Thread] = []
     handle = _SessionHandler.handle
+    closed = threading.Semaphore(0)
+    close = simulharness.service._ThreadedTCPServer.shutdown_request
 
     def failing_once(handler):
         seen.append(threading.current_thread())
@@ -845,7 +911,14 @@ def test_a_handler_that_raises_frees_its_worker_for_the_next_session(
             raise RuntimeError("handler bug")
         handle(handler)
 
+    def counting(self, request):
+        close(self, request)
+        closed.release()
+
     monkeypatch.setattr(_SessionHandler, "handle", failing_once)
+    monkeypatch.setattr(
+        simulharness.service._ThreadedTCPServer, "shutdown_request", counting
+    )
     model = make_model()
     utt = aligned_utterance(model, ["da", "esel", "geht"])
     with caplog.at_level(logging.ERROR, logger="simulharness.service"):
@@ -858,6 +931,7 @@ def test_a_handler_that_raises_frees_its_worker_for_the_next_session(
     (record,) = caplog.records
     assert record.exc_info[0] is RuntimeError
     assert "RuntimeError: handler bug" in caplog.text
+    assert closed.acquire(timeout=5)
     local, _ = run_simultaneous(model, utt, PolicyConfig(k=1))
     remote, _ = stream_utterance(
         server.address, utt, PolicyConfig(k=1), timeout_s=10
@@ -1094,6 +1168,72 @@ def test_the_timeout_bounds_the_whole_wait_for_the_target_stream():
     finally:
         stub.shutdown()
         stub.server_close()
+
+
+class _EndlessLineHandler(socketserver.StreamRequestHandler):
+    """A server that answers HELLO with a WORD line that never ends."""
+
+    def handle(self):
+        self.rfile.readline()
+        self.server.sent = 0
+        block = b"x" * (1 << 16)
+        try:
+            while True:
+                self.wfile.write(block)
+                self.server.sent += len(block)
+        except OSError:
+            pass  # the client gave up and closed
+
+
+def test_a_reply_line_past_the_bound_fails_the_session(monkeypatch):
+    """The client buffers at most ``_MAX_REPLY_BYTES`` of one reply line; an
+    endless line fails the session with an error that names the bound.  A
+    smaller bound keeps the test short: the client copies its buffer once
+    per read, so a 16 MiB line takes seconds."""
+    bound = 1 << 20
+    monkeypatch.setattr(simulharness.service, "_MAX_REPLY_BYTES", bound)
+    utt = aligned_utterance(make_model(), ["da"])
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0),
+                                           _EndlessLineHandler)
+    stub.daemon_threads = True
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        with pytest.raises(ServiceError, match=f"over {bound} bytes"):
+            stream_utterance(
+                stub.server_address, utt, PolicyConfig(k=1), timeout_s=10
+            )
+    finally:
+        stub.shutdown()
+        stub.server_close()
+    assert stub.sent > bound
+
+
+@pytest.mark.parametrize("surface", ["x" * 27 + "@", "äöüßxyz@"])
+def test_the_reply_bound_holds_the_end_of_a_capped_run(surface):
+    """The sizing in ``_MAX_REPLY_BYTES``'s comment: an EOS_TGT of 2,016
+    words of 256 tokens fits, each token's surface 28 ASCII characters, or
+    4 non-ASCII and 4 ASCII ones, which JSON writes in as many bytes."""
+    assert len(json.dumps(surface)) == 30
+    tokens = [surface] * (2016 * 256)
+    eos = WireMessage("EOS_TGT", "utt-0123abcd",
+                      {"tokens": tokens, "convention": "bpe",
+                       "truncated": True})
+    assert len(eos.to_line()) <= simulharness.service._MAX_REPLY_BYTES
+
+
+def test_non_ascii_surfaces_cross_the_wire_as_a_local_run_writes_them():
+    """The JSON of a reply escapes each non-ASCII character; the client
+    reads back the server engine's words and tokens."""
+    model = make_model({"da": "dort", "esel": ["grüne", "Straße"],
+                        "haus": "häuschen"})
+    utt = aligned_utterance(model, ["esel", "da", "haus", "esel"])
+    config = PolicyConfig(k=2, detection="adaptive")
+    local, _ = run_simultaneous(model, utt, config)
+    with StreamTranslationServer(model) as handle:
+        remote, _ = stream_utterance(handle.address, utt, config, timeout_s=10)
+    assert "Straße" in local.words
+    assert (remote.words, remote.tokens, remote.ideal_delays_ms) == (
+        local.words, local.tokens, local.ideal_delays_ms)
 
 
 @pytest.mark.parametrize("pacing", ["fast", "realtime"])

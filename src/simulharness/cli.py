@@ -19,6 +19,7 @@ import json
 import logging
 import random
 import sys
+from functools import reduce
 from pathlib import Path
 
 import click
@@ -57,61 +58,49 @@ def main(verbose: bool) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _policy_options(fn):
-    """Policy knobs shared by every online evaluation command."""
-    opts = [
-        click.option(
-            "--step-ms", type=int, default=280, show_default=True,
-            help="Source milliseconds consumed per READ.",
-        ),
-        click.option(
-            "--avg-word-ms", type=int, default=280, show_default=True,
-            help="Assumed word duration for the fixed detector.",
-        ),
-        click.option(
-            "--force-finish/--no-force-finish", default=True,
-            show_default=True,
-            help="Never accept end-of-sequence while source audio remains.",
-        ),
-        click.option(
-            "--avoid-eos", type=click.Choice(["auto", "on", "off"]),
-            default="auto", show_default=True,
-            help="Replace a premature end-of-sequence with the next-best "
-            "token instead of forcing a READ (auto: on only for adaptive "
-            "detection).",
-        ),
-        click.option(
-            "--max-target-words", type=int, default=None,
-            help="Hard cap on emitted words "
-            "(default: a per-utterance heuristic).",
-        ),
-        click.option(
-            "--source-convention", type=click.Choice(["bpe", "sp"]),
-            default="bpe", show_default=True,
-            help="Subword boundary convention of the source CTC vocabulary.",
-        ),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+_DEFAULTS = PolicyConfig()
 
 
-def _point_options(fn):
-    """A single policy point: lag plus detection strategy."""
-    opts = [
-        click.option(
-            "--k", type=int, default=3, show_default=True,
-            help="Lag, in detected source words, before the first write.",
-        ),
-        click.option(
-            "--detection", type=click.Choice(["fixed", "adaptive"]),
-            default="fixed", show_default=True,
-            help="Source word detector driving the schedule.",
-        ),
-    ]
-    for opt in reversed(opts):
-        fn = opt(fn)
-    return fn
+def _options(*opts):
+    """A decorator adding ``opts`` to a command, listed in this order."""
+    return lambda fn: reduce(lambda f, opt: opt(f), reversed(opts), fn)
+
+
+#: policy knobs shared by every online evaluation command
+_policy_options = _options(
+    click.option("--step-ms", type=int, default=_DEFAULTS.step_ms,
+                 show_default=True,
+                 help="Source milliseconds consumed per READ."),
+    click.option("--avg-word-ms", type=int, default=_DEFAULTS.avg_word_ms,
+                 show_default=True,
+                 help="Assumed word duration for the fixed detector."),
+    click.option("--force-finish/--no-force-finish",
+                 default=_DEFAULTS.force_finish, show_default=True,
+                 help="Never accept end-of-sequence while source audio "
+                 "remains."),
+    click.option("--avoid-eos", type=click.Choice(["auto", "on", "off"]),
+                 default="auto", show_default=True,
+                 help="Replace a premature end-of-sequence with the "
+                 "next-best token instead of forcing a READ (auto: on only "
+                 "for adaptive detection)."),
+    click.option("--max-target-words", type=int, default=None,
+                 help="Hard cap on emitted words "
+                 "(default: a per-utterance heuristic)."),
+    click.option("--source-convention", type=click.Choice(["bpe", "sp"]),
+                 default=_DEFAULTS.source_convention.value, show_default=True,
+                 help="Subword boundary convention of the source CTC "
+                 "vocabulary."),
+)
+
+#: a single policy point: lag plus detection strategy
+_point_options = _options(
+    click.option("--k", type=int, default=_DEFAULTS.k, show_default=True,
+                 help="Lag, in detected source words, before the first "
+                 "write."),
+    click.option("--detection", type=click.Choice(["fixed", "adaptive"]),
+                 default=_DEFAULTS.detection.value, show_default=True,
+                 help="Source word detector driving the schedule."),
+)
 
 
 _AVOID_EOS = {"auto": None, "on": True, "off": False}
@@ -226,7 +215,8 @@ def eval_command(
               type=click.Choice(["fixed", "adaptive"]), multiple=True,
               help="Detection strategies to trace (repeatable; default "
               f"{' '.join(s.value for s in SweepSpec.strategies)}).")
-@click.option("--runs", type=int, default=1, show_default=True,
+@click.option("--runs", type=int, default=SweepSpec.runs_per_point,
+              show_default=True,
               help="Repeats per grid point, averaged into the "
               "computation-aware columns.")
 @_policy_options

@@ -88,8 +88,8 @@ def score_corpus(
         ))
     scored = [(r, u) for r, u in zip(results, utterances) if r.error is None]
     report = aggregate_metrics(
-        [list(r.hypothesis.words) for r, _ in scored],
-        [list(u.reference) for _, u in scored],
+        [r.hypothesis.words for r, _ in scored],
+        [u.reference for _, u in scored],
         [r.delays for r, _ in scored],
     )
     return CorpusResult(report, tuple(results))

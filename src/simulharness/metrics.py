@@ -63,12 +63,12 @@ class DelaySequence:
 
 
 def _lagging(
-    delays: DelaySequence, *, computation_aware: bool, oracle_len: int
-) -> float | None:
+    delays: DelaySequence, *variants: tuple[bool, int]
+) -> list[float | None]:
+    """Lagging in ms over one averaging window for each (computation-aware,
+    oracle length) variant, each None for an empty hypothesis."""
     if delays.ref_len < 1:
         raise ValueError("lagging needs a non-empty reference")
-    if delays.hyp_len == 0:
-        return None
     # The averaging window ends at the first word emitted only after the
     # whole source was consumed; it is taken from the ideal delays even for
     # the computation-aware variant.
@@ -77,31 +77,31 @@ def _lagging(
         if ideal >= delays.source_ms - 1e-9:
             cutoff = i
             break
-    series = delays.wall_ms if computation_aware else delays.ideal_ms
-    oracle_step = delays.source_ms / oracle_len
-    return (
-        sum(series[i] - i * oracle_step for i in range(cutoff)) / cutoff
-    )
+    if not cutoff:
+        return [None] * len(variants)
+    lags = []
+    for computation_aware, oracle_len in variants:
+        series = delays.wall_ms if computation_aware else delays.ideal_ms
+        oracle_step = delays.source_ms / oracle_len
+        lags.append(
+            sum(series[i] - i * oracle_step for i in range(cutoff)) / cutoff
+        )
+    return lags
 
 
 def average_lagging(
     delays: DelaySequence, computation_aware: bool = False
 ) -> float | None:
     """AL in ms, or None for an empty hypothesis (excluded from averages)."""
-    return _lagging(
-        delays, computation_aware=computation_aware, oracle_len=delays.ref_len
-    )
+    return _lagging(delays, (computation_aware, delays.ref_len))[0]
 
 
 def length_adaptive_average_lagging(
     delays: DelaySequence, computation_aware: bool = False
 ) -> float | None:
     """LAAL in ms: AL with the ideal paced by max(|hyp|, |ref|)."""
-    return _lagging(
-        delays,
-        computation_aware=computation_aware,
-        oracle_len=max(delays.hyp_len, delays.ref_len),
-    )
+    longest = max(delays.hyp_len, delays.ref_len)
+    return _lagging(delays, (computation_aware, longest))[0]
 
 
 class Regime(Enum):
@@ -154,38 +154,30 @@ class MetricsReport:
     n_utts: int
 
     def to_dict(self) -> dict:
-        return {
-            "bleu": self.bleu,
-            "AL": self.al_ms,
-            "LAAL": self.laal_ms,
-            "AL_CA": self.al_ca_ms,
-            "LAAL_CA": self.laal_ca_ms,
-            "regime": self.regime.value if self.regime else None,
-            "len_diff": self.len_diff_words,
-            "n_utts": self.n_utts,
-        }
+        data = {key: getattr(self, f) for f, key in _REPORT_KEYS.items()}
+        data["regime"] = self.regime.value if self.regime else None
+        return data
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, data: dict) -> "MetricsReport":
-        return cls(
-            bleu=data["bleu"],
-            al_ms=data["AL"],
-            laal_ms=data["LAAL"],
-            al_ca_ms=data["AL_CA"],
-            laal_ca_ms=data["LAAL_CA"],
-            regime=Regime(data["regime"]) if data["regime"] else None,
-            len_diff_words=data["len_diff"],
-            n_utts=data["n_utts"],
-        )
+        fields = {f: data[key] for f, key in _REPORT_KEYS.items()}
+        regime = fields["regime"]
+        return cls(**{**fields, "regime": Regime(regime) if regime else None})
 
     @classmethod
     def from_json(cls, text: str) -> "MetricsReport":
         return cls.from_dict(json.loads(text))
 
 
+#: each report field's ``metrics.json`` key, in the file's order
+_REPORT_KEYS = {
+    "bleu": "bleu", "al_ms": "AL", "laal_ms": "LAAL", "al_ca_ms": "AL_CA",
+    "laal_ca_ms": "LAAL_CA", "regime": "regime", "len_diff_words": "len_diff",
+    "n_utts": "n_utts",
+}
 EMPTY_REPORT = MetricsReport(None, None, None, None, None, None, None, 0)
 
 
@@ -205,29 +197,23 @@ def aggregate_metrics(
     if not hypotheses:
         return EMPTY_REPORT
 
-    al, laal, al_ca, laal_ca = [], [], [], []
+    lags = []  # AL, LAAL, AL_CA and LAAL_CA of each utterance, in order
     for d in delays:
-        value = average_lagging(d)
-        if value is None:
-            logger.warning(
-                "empty hypothesis excluded from latency averages"
-            )
+        longest = max(d.hyp_len, d.ref_len)
+        row = _lagging(d, (False, d.ref_len), (False, longest),
+                       (True, d.ref_len), (True, longest))
+        if row[0] is None:
+            logger.warning("empty hypothesis excluded from latency averages")
             continue
-        al.append(value)
-        laal.append(length_adaptive_average_lagging(d))
-        al_ca.append(average_lagging(d, computation_aware=True))
-        laal_ca.append(
-            length_adaptive_average_lagging(d, computation_aware=True)
-        )
-
-    laal_mean = fmean(laal) if laal else None
+        lags.append(row)
+    al, laal, al_ca, laal_ca = map(fmean, zip(*lags)) if lags else (None,) * 4
     return MetricsReport(
         bleu=corpus_bleu(hypotheses, references),
-        al_ms=fmean(al) if al else None,
-        laal_ms=laal_mean,
-        al_ca_ms=fmean(al_ca) if al_ca else None,
-        laal_ca_ms=fmean(laal_ca) if laal_ca else None,
-        regime=latency_regime(laal_mean) if laal_mean is not None else None,
+        al_ms=al,
+        laal_ms=laal,
+        al_ca_ms=al_ca,
+        laal_ca_ms=laal_ca,
+        regime=latency_regime(laal) if laal is not None else None,
         len_diff_words=length_difference(hypotheses, references),
         n_utts=len(hypotheses),
     )

@@ -453,7 +453,7 @@ def stream_utterance(
         sock.setblocking(False)  # a send that would block reads meanwhile
         selector.register(sock, selectors.EVENT_READ)
         started = time.perf_counter()
-        pending = b""
+        pending = bytearray()  # the open reply line, grown in place
 
         def now_ms() -> float:
             return (time.perf_counter() - started) * 1000.0
@@ -488,7 +488,11 @@ def stream_utterance(
                     data, arrival = sock.recv(1 << 16), now_ms()
                     if not data:
                         raise ServiceError("connection closed before EOS_TGT")
-                    *lines, pending = (pending + data).split(b"\n")
+                    *lines, rest = data.split(b"\n")
+                    if lines and pending:  # the open line ends in this read
+                        lines[0] = b"".join((pending, lines[0]))
+                        pending.clear()
+                    pending += rest
                     if len(pending) > _MAX_REPLY_BYTES:
                         raise ServiceError(
                             f"a reply line over {_MAX_REPLY_BYTES} bytes")

@@ -11,6 +11,7 @@ from click.testing import CliRunner
 
 from helpers import DecoderFailsOnHaus, aligned_utterance
 from simulharness import (
+    PolicyConfig,
     cli,
     load_manifest,
     load_model_config,
@@ -125,6 +126,25 @@ def test_eval_refuses_bytes_that_are_not_utf8_without_a_traceback(
     assert "'utf-8' codec can't decode byte 0xe9" in proc.stderr
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_without_policy_flags_runs_the_default_policy(
+    demo, tmp_path, monkeypatch
+):
+    configs = []
+    evaluate = cli.evaluate_corpus
+
+    def recording(utterances, model, config):
+        configs.append(config)
+        return evaluate(utterances, model, config)
+
+    monkeypatch.setattr(cli, "evaluate_corpus", recording)
+    result = _run(
+        "eval", "--manifest", demo / "manifest.jsonl",
+        "--model-config", demo / "model.json", "--out", tmp_path / "out",
+    )
+    assert result.exit_code == 0, _all_output(result)
+    assert configs == [PolicyConfig()]
 
 
 def test_eval_rejects_bad_policy_flags(demo, tmp_path):

@@ -460,6 +460,33 @@ def test_a_sweep_is_right_for_a_model_that_shares_its_states(monkeypatch):
     _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
 
 
+@pytest.mark.parametrize("base", [
+    PolicyConfig(),
+    PolicyConfig(max_target_words=2),
+    PolicyConfig(force_finish=False, avg_word_ms=100),
+], ids=["default", "capped", "unforced"])
+def test_a_sweep_is_right_for_utterances_that_share_one_frame_array(
+    monkeypatch, base
+):
+    """Prefixes of one array, the array itself, and the array at another
+    frame rate: each chunk is known by its rows in the array, not by the
+    array and the number of chunks before it."""
+    model = make_model()
+    whole = aligned_utterance(
+        model, ["da", "esel", "geht", "ja", "hin", "haus"], utt_id="whole"
+    )
+    frames, reference = whole.frames, whole.reference
+    utts = [
+        Utterance("first-50", frames[:50], reference=reference[:2]),
+        Utterance("first-112", frames[:112], reference=reference[:4]),
+        whole,
+        Utterance("slow", frames, frame_ms=20, reference=reference),
+    ]
+    assert len({id(u.frames._source) for u in utts}) == 1
+    spec = SweepSpec(k_values=(1, 2, 4), base_config=base)
+    _assert_sweep_matches_plain_runs(monkeypatch, utts, model, spec)
+
+
 class _Cache:
     """Mutable encoder states: the words heard so far and their targets."""
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import math
+from statistics import fmean
 
 import pytest
 from hypothesis import given
@@ -304,6 +306,55 @@ def test_metrics_report_json_round_trip():
         "LAAL_CA": 760.0, "regime": "low", "len_diff": -0.5, "n_utts": 3,
     }
     assert MetricsReport.from_json(report.to_json()) == report
+
+
+def test_metrics_json_writes_its_keys_in_the_files_order():
+    report = MetricsReport(
+        bleu=42.5, al_ms=700.0, laal_ms=750.0, al_ca_ms=710.0,
+        laal_ca_ms=760.0, regime=Regime.LOW, len_diff_words=-0.5, n_utts=3,
+    )
+    assert report.to_json() == (
+        '{"bleu": 42.5, "AL": 700.0, "LAAL": 750.0, "AL_CA": 710.0, '
+        '"LAAL_CA": 760.0, "regime": "low", "len_diff": -0.5, "n_utts": 3}'
+    )
+
+
+@st.composite
+def _scored_utterances(draw):
+    """One utterance's words, reference and delays: the hypothesis may be
+    empty, shorter or longer than the reference, and a wall delay NaN or
+    infinite."""
+    hyp_len, ref_len = draw(st.integers(0, 8)), draw(st.integers(1, 8))
+    source = draw(st.integers(0, 3_000))
+    sizes = {"min_size": hyp_len, "max_size": hyp_len}
+    ideal = sorted(draw(st.lists(st.integers(0, source), **sizes)))
+    wall = draw(st.lists(st.floats(0.0, 5e3), **sizes))
+    # now and then one NaN or infinite delay, which the means then carry
+    special = draw(st.sampled_from([None, None, None, math.inf, math.nan]))
+    if wall and special is not None:
+        wall[draw(st.integers(0, hyp_len - 1))] = special
+    delays = DelaySequence(
+        tuple(map(float, ideal)), tuple(wall), float(source), hyp_len, ref_len
+    )
+    return ["there"] * hyp_len, ["donkey"] * ref_len, delays
+
+
+@given(st.lists(_scored_utterances(), min_size=1, max_size=6))
+def test_aggregate_means_are_those_of_the_per_utterance_functions(utts):
+    """Bit for bit: ``repr`` tells -0.0 from 0.0, and NaN equals NaN."""
+    hyps, refs, delays = zip(*utts)
+    report = aggregate_metrics(hyps, refs, delays)
+    scored = [d for d in delays if d.hyp_len]
+    for name, lagging, computation_aware in (
+        ("al_ms", average_lagging, False),
+        ("laal_ms", length_adaptive_average_lagging, False),
+        ("al_ca_ms", average_lagging, True),
+        ("laal_ca_ms", length_adaptive_average_lagging, True),
+    ):
+        expected = fmean(
+            lagging(d, computation_aware) for d in scored
+        ) if scored else None
+        assert repr(getattr(report, name)) == repr(expected)
 
 
 def test_aggregate_metrics_over_two_utterances():

@@ -1185,13 +1185,10 @@ class _EndlessLineHandler(socketserver.StreamRequestHandler):
             pass  # the client gave up and closed
 
 
-def test_a_reply_line_past_the_bound_fails_the_session(monkeypatch):
+def test_a_reply_line_past_the_bound_fails_the_session():
     """The client buffers at most ``_MAX_REPLY_BYTES`` of one reply line; an
-    endless line fails the session with an error that names the bound.  A
-    smaller bound keeps the test short: the client copies its buffer once
-    per read, so a 16 MiB line takes seconds."""
-    bound = 1 << 20
-    monkeypatch.setattr(simulharness.service, "_MAX_REPLY_BYTES", bound)
+    endless line fails the session with an error that names the bound."""
+    bound = simulharness.service._MAX_REPLY_BYTES
     utt = aligned_utterance(make_model(), ["da"])
     stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0),
                                            _EndlessLineHandler)
@@ -1206,6 +1203,50 @@ def test_a_reply_line_past_the_bound_fails_the_session(monkeypatch):
         stub.shutdown()
         stub.server_close()
     assert stub.sent > bound
+
+
+class _PiecemealHandler(socketserver.StreamRequestHandler):
+    """A fake server: after HELLO it sends a WORD and an EOS_TGT line three
+    bytes at a time, so that a line spans several reads and ends inside
+    one, then reads until the client closes."""
+
+    def handle(self):
+        hello = WireMessage.parse(self.rfile.readline())
+        replies = WireMessage(
+            "WORD", hello.session, {"word": "there", "ideal_ms": 280},
+            t_server_ms=281.5,
+        ).to_line() + WireMessage("EOS_TGT", hello.session, {
+            "tokens": ["the@@", "re"], "convention": "bpe", "truncated": False,
+        }).to_line()
+        self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for start in range(0, len(replies), 3):
+                self.wfile.write(replies[start:start + 3])
+                time.sleep(0.001)
+            for _ in self.rfile:
+                pass
+        except OSError:
+            pass  # the client gave up and closed
+
+
+def test_reply_lines_cut_across_reads_parse_as_sent():
+    utt = aligned_utterance(make_model(), ["da"])
+    stub = socketserver.ThreadingTCPServer(("127.0.0.1", 0),
+                                           _PiecemealHandler)
+    stub.daemon_threads = True
+    threading.Thread(target=stub.serve_forever, daemon=True).start()
+    try:
+        hypothesis, arrivals = stream_utterance(
+            stub.server_address, utt, PolicyConfig(k=1), timeout_s=10
+        )
+    finally:
+        stub.shutdown()
+        stub.server_close()
+    assert hypothesis.words == ("there",)
+    assert [t.surface for t in hypothesis.tokens] == ["the@@", "re"]
+    assert hypothesis.ideal_delays_ms == (280,)
+    assert hypothesis.wall_delays_ms == (281.5,)
+    assert len(arrivals) == 1
 
 
 @pytest.mark.parametrize("surface", ["x" * 27 + "@", "äöüßxyz@"])
